@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, TextIO
 
 from .codes import QuadraticBound, format_bound, format_rational, quadratic_bound
-from .exact import DomainError, Rational
+from .exact import DomainError, Rational, parse_rational
 from .harmonics import gegenbauer, harmonic_dimension
 
 
@@ -105,10 +105,7 @@ def read_spectrum_file(f: TextIO) -> list[Rational]:
         tok = line.strip()
         if not tok:
             continue
-        try:
-            out.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"bad rational token {tok!r}") from exc
+        out.append(parse_rational(tok))
     return out
 
 

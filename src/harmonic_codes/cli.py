@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import __version__
 from .analyzer import (
@@ -30,6 +29,7 @@ from .codes import (
     report_to_json,
 )
 from .embedding import build_code, float_code_to_text, gram_to_text
+from .exact import parse_rational
 from .harmonics import gegenbauer, harmonic_dimension
 from .lattice import code_from_text, code_to_text, generate_e8_roots
 
@@ -66,20 +66,20 @@ def _read_code(path: str):
         return code_from_text(f.read())
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
+def _check_threads(args) -> None:
+    """--threads and its environment variable are accepted for compatibility
+    and ignored; a malformed environment value is still an error."""
     env = os.environ.get(THREADS_ENV)
-    if env is None:
-        return 1
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ValueError(f"bad {THREADS_ENV} value {env!r}") from exc
+    if args.threads is None and env is not None:
+        try:
+            int(env)
+        except ValueError as exc:
+            raise ValueError(f"bad {THREADS_ENV} value {env!r}") from exc
 
 
 def _built(args):
-    return build_code(_read_code(args.infile), threads=_resolve_threads(args))
+    _check_threads(args)
+    return build_code(_read_code(args.infile))
 
 
 def cmd_roots(args) -> int:
@@ -96,7 +96,7 @@ def cmd_dim(args) -> int:
 def cmd_gegenbauer(args) -> int:
     poly = gegenbauer(args.d, args.k)
     if args.at is not None:
-        print(poly.evaluate(Fraction(args.at)))
+        print(poly.evaluate(parse_rational(args.at)))
     else:
         print(" ".join(str(c) for c in poly.coeffs))
     return 0
@@ -106,7 +106,7 @@ def cmd_build(args) -> int:
     code = _built(args)
     if args.certify:
         return _print_certificate(code, args.t_max)
-    values = sorted({v for row in code.gram for v in row})
+    values = sorted(gram_from_embedded(code).histogram)
     print(f"n_points {len(code)}")
     print(f"ambient_harmonic_dim {code.ambient_harmonic_dim}")
     print("gram_values " + " ".join(str(v) for v in values))
@@ -148,15 +148,17 @@ def cmd_scan(args) -> int:
     if k_max < args.k:
         raise ValueError("--k-max must be >= -k")
     ks = range(args.k, k_max + 1)
-    with _text_out(args.out) as out:
-        for result in constant_modulus_scan(values, args.d, ks):
-            out.write(scan_to_json(result))
-            if args.n_points is not None:
-                out.write(
-                    candidate_to_json(
-                        candidate_parameters(values, args.d, result.k, args.n_points)
-                    )
+    lines = []
+    for result in constant_modulus_scan(values, args.d, ks):
+        lines.append(scan_to_json(result))
+        if args.n_points is not None:
+            lines.append(
+                candidate_to_json(
+                    candidate_parameters(values, args.d, result.k, args.n_points)
                 )
+            )
+    with _text_out(args.out) as out:
+        out.write("".join(lines))
     return 0
 
 
@@ -172,7 +174,7 @@ def _add_input_options(sub) -> None:
     sub.add_argument("--in", dest="infile", required=True,
                      help="lattice code file, or - for stdin")
     sub.add_argument("--threads", type=int, default=None,
-                     help=f"gram fill workers (default: ${THREADS_ENV} or 1)")
+                     help=f"accepted for compatibility and ignored (as is ${THREADS_ENV})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,10 @@
 """Certification of antipodal spherical codes through exact Gram matrices.
 
-Everything here is a pure fold over a rational Gram matrix: coherence,
-the tight-frame inequality, the closed-form lower bound on coherence for
-antipodal codes, and design strength via vanishing Gegenbauer moment
-sums.  The optimality verdict is the exact comparison of achieved
-coherence against the bound.
+Every certificate here is a fold over one value histogram of a rational
+Gram matrix: coherence, the tight-frame inequality and design strength via
+vanishing Gegenbauer moment sums, next to the closed-form lower bound on
+coherence for antipodal codes.  The optimality verdict is the exact
+comparison of achieved coherence against the bound.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .exact import DomainError, Rational, StructureError
@@ -56,6 +57,35 @@ class GramView:
     @property
     def n(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def histogram(self) -> Counter:
+        """Value counts over all ordered pairs, diagonal included.
+
+        The only walk over the entries after validation: the upper triangle
+        is counted once and doubled (symmetry is already proved), then the
+        n unit diagonal entries are added.
+        """
+        counts: Counter = Counter()
+        for i, row in enumerate(self.entries):
+            counts.update(row[i + 1:])
+        for v in counts:
+            counts[v] *= 2
+        if self.n:
+            counts[Fraction(1)] += self.n
+        return counts
+
+    def off_diagonal(self, include_antipodal: bool = True) -> Counter:
+        """Histogram without the n diagonal 1s and, optionally, the n antipodal -1s.
+
+        Exact because __post_init__ proved every diagonal entry is 1 and
+        every antipodal entry is -1.
+        """
+        counts = self.histogram.copy()
+        counts[Fraction(1)] -= self.n
+        if not include_antipodal and self.antipode is not None:
+            counts[Fraction(-1)] -= self.n
+        return +counts
 
 
 class FrameCheck(NamedTuple):
@@ -138,39 +168,18 @@ def gram_from_lattice(code: LatticeCode) -> GramView:
     return GramView(entries=entries, antipode=antipode)
 
 
-def _entry_histogram(g: GramView, include_diagonal: bool) -> Counter:
-    counts: Counter = Counter()
-    for i, row in enumerate(g.entries):
-        for j, v in enumerate(row):
-            if include_diagonal or i != j:
-                counts[v] += 1
-    return counts
-
-
 def gram_spectrum(g: GramView) -> Spectrum:
     """Value counts over ordered distinct pairs."""
-    counts = _entry_histogram(g, include_diagonal=False)
+    counts = g.off_diagonal()
     return {v: counts[v] for v in sorted(counts)}
 
 
 def max_coherence(g: GramView, include_antipodal: bool = False) -> Rational:
     """Largest |gram entry| over distinct pairs, skipping antipodal ones."""
-    best: Rational | None = None
-    for i in range(g.n):
-        row = g.entries[i]
-        for j in range(i + 1, g.n):
-            if (
-                not include_antipodal
-                and g.antipode is not None
-                and g.antipode[i] == j
-            ):
-                continue
-            v = abs(row[j])
-            if best is None or v > best:
-                best = v
-    if best is None:
+    counts = g.off_diagonal(include_antipodal)
+    if not counts:
         raise DomainError("no admissible pair to take coherence over")
-    return best
+    return max(abs(v) for v in counts)
 
 
 def frame_bound_check(g: GramView, dim: int) -> FrameCheck:
@@ -182,8 +191,7 @@ def frame_bound_check(g: GramView, dim: int) -> FrameCheck:
     """
     if dim < 1:
         raise DomainError("dimension must be positive")
-    counts = _entry_histogram(g, include_diagonal=True)
-    frame_sum = sum((v * v * c for v, c in counts.items()), Fraction(0))
+    frame_sum = sum((v * v * c for v, c in g.histogram.items()), Fraction(0))
     frame_bound = Fraction(g.n * g.n, dim)
     return FrameCheck(frame_sum, frame_bound, frame_sum >= frame_bound)
 
@@ -227,12 +235,11 @@ def design_strength(g: GramView, d_sphere: int, t_max: int) -> DesignCheck:
     """
     if t_max < 1:
         raise DomainError("t_max must be at least 1")
-    counts = _entry_histogram(g, include_diagonal=True)
     residuals = []
     for k in range(1, t_max + 1):
         poly = gegenbauer(d_sphere, k)
         residuals.append(
-            sum((c * poly.evaluate(v) for v, c in counts.items()), Fraction(0))
+            sum((c * poly.evaluate(v) for v, c in g.histogram.items()), Fraction(0))
         )
     strength = 0
     for r in residuals:

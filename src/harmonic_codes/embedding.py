@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, TextIO
+from typing import List
 
 from .exact import DimensionError, Rational, StructureError, SymMatrix, frobenius_inner
 from .harmonics import harmonic_dimension
@@ -100,29 +99,17 @@ def _integer_flat(point: EmbeddedPoint, denom: int) -> tuple[int, ...]:
     return tuple(flat)
 
 
-def _base_gram(
-    flats: list[tuple[int, ...]], threads: int
-) -> list[list[int]]:
+def _base_gram(flats: list[tuple[int, ...]]) -> list[list[int]]:
     """Full square of pairwise integer Frobenius sums, exact."""
     n = len(flats)
-
-    def row(i: int) -> list[int]:
-        a = flats[i]
-        return [sum(x * y for x, y in zip(a, flats[j])) for j in range(i, n)]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            upper = list(pool.map(row, range(n)))
-    else:
-        upper = [row(i) for i in range(n)]
     full = [[0] * n for _ in range(n)]
-    for i in range(n):
+    for i, a in enumerate(flats):
         for j in range(i, n):
-            full[i][j] = full[j][i] = upper[i][j - i]
+            full[i][j] = full[j][i] = sum(x * y for x, y in zip(a, flats[j]))
     return full
 
 
-def build_code(roots: LatticeCode, threads: int = 1) -> EmbeddedCode:
+def build_code(roots: LatticeCode) -> EmbeddedCode:
     """Embed an antipodal equinorm code and attach the 2N x 2N exact Gram.
 
     One representative per antipodal pair is embedded; the full point list
@@ -131,10 +118,12 @@ def build_code(roots: LatticeCode, threads: int = 1) -> EmbeddedCode:
     the whole matrix is exact.
     """
     reps = select_antipodal_representatives(roots)
+    if not reps.points:
+        raise StructureError("code has no points to embed")
     embedded = [embed_degree2(reps, i) for i in range(len(reps))]
     denom = reps.norm_sq_scaled * reps.ambient_dim
     flats = [_integer_flat(pt, denom) for pt in embedded]
-    raw = _base_gram(flats, threads)
+    raw = _base_gram(flats)
     norm = raw[0][0]
     for i in range(len(reps)):
         if raw[i][i] != norm:
@@ -221,15 +210,3 @@ def gram_from_text(text: str) -> tuple[tuple[Rational, ...], ...]:
             raise StructureError("gram row has wrong length")
         rows.append(row)
     return tuple(rows)
-
-
-def write_float_code(code: EmbeddedCode, f: TextIO) -> None:
-    f.write(float_code_to_text(code))
-
-
-def write_gram(code: EmbeddedCode, f: TextIO) -> None:
-    f.write(gram_to_text(code.gram))
-
-
-def read_gram_file(f: TextIO) -> tuple[tuple[Rational, ...], ...]:
-    return gram_from_text(f.read())

@@ -34,6 +34,14 @@ def rat(num: int, den: int = 1) -> Rational:
     return Fraction(num, den)
 
 
+def parse_rational(token: str) -> Rational:
+    """A p/q (or decimal) token as a Rational; malformed tokens are a DomainError."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"bad rational token {token!r}") from exc
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     """Immutable symmetric matrix with Rational entries."""

@@ -67,6 +67,14 @@ def test_gegenbauer_evaluate(capsys):
     assert capsys.readouterr().out == "-1/119\n"
 
 
+def test_gegenbauer_bad_point_exits_one(capsys):
+    assert main(["gegenbauer", "-d", "7", "-k", "2", "--at", "1/0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err == "harmonic-codes: error: bad rational token '1/0'\n"
+
+
 def test_bound_exact(capsys):
     assert main(["bound", "-n", "240", "--dim", "35"]) == 0
     assert capsys.readouterr().out == "1/7\n"
@@ -168,6 +176,15 @@ def test_scan_leech_spectrum(tmp_path, capsys):
     assert set(result["image"].values()) == {"-1/23", "1/46", "5/23"}
 
 
+def test_scan_bad_n_points_writes_nothing(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
+    argv = ["scan", "--in", "-", "-d", "7", "-k", "2", "--n-points", "3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("harmonic-codes: error:")
+
+
 def test_export_exact_round_trip(roots_file, tmp_path, capsys, e8_code):
     out = tmp_path / "gram.txt"
     assert main(["export", "--in", roots_file, "--exact", "--out", str(out)]) == 0
@@ -221,6 +238,14 @@ def test_malformed_code_file_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.code"
     bad.write_text("8 2 2 8\n1 1 1 1 1 1 1 1\n", encoding="utf-8")
     assert main(["build", "--in", str(bad)]) == 1
+
+
+def test_empty_code_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("8 0 2 8\n"))
+    assert main(["build", "--in", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "harmonic-codes: error: code has no points to embed\n"
 
 
 def test_unknown_subcommand_usage_error(capsys):

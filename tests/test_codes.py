@@ -1,6 +1,9 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +25,7 @@ from harmonic_codes.codes import (
 )
 from harmonic_codes.embedding import EmbeddedCode, EmbeddedPoint, build_code
 from harmonic_codes.exact import DomainError, StructureError, SymMatrix
+from harmonic_codes.harmonics import gegenbauer
 from harmonic_codes.lattice import LatticeCode
 
 
@@ -130,6 +134,20 @@ def test_max_coherence_lattice_roots(e8_roots):
 
 def test_max_coherence_orthonormal():
     assert max_coherence(_identity_gram(3)) == 0
+
+
+def test_max_coherence_repeated_point():
+    # x, x, -x, -x: the non-antipodal pairs (0,1), (2,3) carry +1 and
+    # (0,3), (1,2) carry -1, so only the antipodal -1s may be dropped
+    one = Fraction(1)
+    x = (one, one, -one, -one)
+    g = GramView(
+        entries=(x, x, tuple(-v for v in x), tuple(-v for v in x)),
+        antipode=(2, 3, 0, 1),
+    )
+    assert gram_spectrum(g) == {-one: 8, one: 4}
+    assert max_coherence(g) == 1
+    assert max_coherence(g, include_antipodal=True) == 1
 
 
 def test_max_coherence_antipodal_flag():
@@ -408,3 +426,69 @@ def test_report_json_irrational_bound():
         optimal_antipodal=False,
     )
     assert json.loads(report_to_json(report))["bound"] == "sqrt(25/1152)"
+
+
+# --- histogram folds against a direct scan ----------------------------------
+
+
+def _cross_polytope_code():
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    points = basis + tuple(tuple(-x for x in p) for p in basis)
+    return build_code(LatticeCode(3, 1, 1, points))
+
+
+def _d4_code():
+    points = []
+    for i, j in combinations(range(4), 2):
+        for si in (1, -1):
+            for sj in (1, -1):
+                p = [0] * 4
+                p[i], p[j] = si, sj
+                points.append(tuple(p))
+    return build_code(LatticeCode(4, 1, 2, tuple(points)))
+
+
+def _direct_certificate(code, t_max):
+    """Spectrum, frame sum, residuals and coherence by a double loop over code.gram."""
+    gram, pts = code.gram, code.points
+    # memoized per value only to keep the E8 scan short; every entry is still summed
+    polys = [
+        lru_cache(maxsize=None)(gegenbauer(code.ambient_harmonic_dim - 1, k).evaluate)
+        for k in range(1, t_max + 1)
+    ]
+    spectrum, frame_sum, coherence = Counter(), Fraction(0), Fraction(0)
+    residuals = [Fraction(0)] * t_max
+    for i, row in enumerate(gram):
+        for j, v in enumerate(row):
+            frame_sum += v * v
+            for k, evaluate in enumerate(polys):
+                residuals[k] += evaluate(v)
+            if i == j:
+                continue
+            spectrum[v] += 1
+            antipodal = (
+                pts[i].source_index == pts[j].source_index and pts[i].sign != pts[j].sign
+            )
+            if not antipodal:
+                coherence = max(coherence, abs(v))
+    return dict(spectrum), frame_sum, tuple(residuals), coherence
+
+
+@pytest.mark.parametrize(
+    "make, optimal",
+    [(_cross_polytope_code, False), (_d4_code, False), (None, True)],
+    ids=["cross-polytope-3", "d4-roots", "e8"],
+)
+def test_histogram_folds_match_direct_scan(make, optimal, e8_code):
+    code = e8_code if make is None else make()
+    t_max = 3
+    spectrum, frame_sum, residuals, coherence = _direct_certificate(code, t_max)
+    report = certify(code, t_max=t_max)
+    assert report.spectrum == spectrum
+    assert report.frame_sum == frame_sum
+    assert report.coherence_a == coherence
+    assert report.optimal_antipodal is optimal
+    check = design_strength(gram_from_embedded(code), code.ambient_harmonic_dim - 1, t_max)
+    assert check.residuals == residuals
+    strength = next((k for k, r in enumerate(residuals) if r != 0), t_max)
+    assert report.design_strength == check.strength == strength

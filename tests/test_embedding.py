@@ -128,14 +128,15 @@ def test_embedded_points_are_equinorm(e8_code):
     assert norms == {Fraction(7, 8)}
 
 
-def test_build_code_thread_count_does_not_change_output(e8_roots, e8_code):
-    assert build_code(e8_roots, threads=4) == e8_code
-
-
 def test_build_code_rejects_non_antipodal():
     code = LatticeCode(2, 1, 2, ((1, 1), (1, -1)))
     with pytest.raises(StructureError):
         build_code(code)
+
+
+def test_build_code_rejects_empty_code():
+    with pytest.raises(StructureError, match="no points"):
+        build_code(LatticeCode(8, 2, 8, ()))
 
 
 def test_flatten_length_and_norm(e8_code):
