@@ -24,7 +24,6 @@ from .codes import (
     certify,
     design_strength,
     format_bound,
-    gram_from_embedded,
     quadratic_bound,
     report_to_json,
 )
@@ -106,7 +105,7 @@ def cmd_build(args) -> int:
     code = _built(args)
     if args.certify:
         return _print_certificate(code, args.t_max)
-    values = sorted(gram_from_embedded(code).histogram)
+    values = sorted(code.histogram)
     print(f"n_points {len(code)}")
     print(f"ambient_harmonic_dim {code.ambient_harmonic_dim}")
     print("gram_values " + " ".join(str(v) for v in values))
@@ -132,9 +131,7 @@ def cmd_bound(args) -> int:
 
 def cmd_design(args) -> int:
     code = _built(args)
-    check = design_strength(
-        gram_from_embedded(code), code.ambient_harmonic_dim - 1, args.t_max
-    )
+    check = design_strength(code, code.ambient_harmonic_dim - 1, args.t_max)
     print(f"design_strength {check.strength}")
     for k, residual in enumerate(check.residuals, start=1):
         print(f"residual k={k} {residual}")

@@ -1,10 +1,11 @@
-"""Certification of antipodal spherical codes through exact Gram matrices.
+"""Certification of antipodal spherical codes through exact Gram values.
 
-Every certificate here is a fold over one value histogram of a rational
-Gram matrix: coherence, the tight-frame inequality and design strength via
-vanishing Gegenbauer moment sums, next to the closed-form lower bound on
-coherence for antipodal codes.  The optimality verdict is the exact
-comparison of achieved coherence against the bound.
+Every certificate here is a fold over one value histogram, of a validated
+Gram matrix or of a built code's integer representative pairs: coherence,
+the tight-frame inequality and design strength via vanishing Gegenbauer
+moment sums, next to the closed-form lower bound on coherence for antipodal
+codes.  The optimality verdict is the exact comparison of achieved
+coherence against the bound.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 from .exact import DomainError, Rational, StructureError
 from .embedding import EmbeddedCode
 from .harmonics import gegenbauer
-from .lattice import LatticeCode, Spectrum
+from .lattice import LatticeCode, Spectrum, scaled_dot
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class GramView:
             if len(self.antipode) != n:
                 raise StructureError("antipode map has wrong length")
             for i, j in enumerate(self.antipode):
-                if j == i or self.antipode[j] != i:
+                if j == i or not 0 <= j < n or self.antipode[j] != i:
                     raise StructureError(f"antipode map is not a fixed-point-free involution at {i}")
                 if self.entries[i][j] != -1:
                     raise StructureError(f"antipodal pair ({i},{j}) has gram entry != -1")
@@ -74,18 +75,6 @@ class GramView:
         if self.n:
             counts[Fraction(1)] += self.n
         return counts
-
-    def off_diagonal(self, include_antipodal: bool = True) -> Counter:
-        """Histogram without the n diagonal 1s and, optionally, the n antipodal -1s.
-
-        Exact because __post_init__ proved every diagonal entry is 1 and
-        every antipodal entry is -1.
-        """
-        counts = self.histogram.copy()
-        counts[Fraction(1)] -= self.n
-        if not include_antipodal and self.antipode is not None:
-            counts[Fraction(-1)] -= self.n
-        return +counts
 
 
 class FrameCheck(NamedTuple):
@@ -129,38 +118,16 @@ class CodeReport:
 
 
 def gram_from_embedded(code: EmbeddedCode) -> GramView:
-    """Gram view of an embedded code, pairing each point with its sign flip."""
-    positions: dict[tuple[int | None, int], int] = {}
-    for idx, pt in enumerate(code.points):
-        if pt.source_index is None:
-            raise StructureError("free-sign point has no antipode partner")
-        key = (pt.source_index, pt.sign)
-        if key in positions:
-            raise StructureError(f"duplicate signed point for source {pt.source_index}")
-        positions[key] = idx
-    antipode = []
-    for pt in code.points:
-        partner = positions.get((pt.source_index, -pt.sign))
-        if partner is None:
-            raise StructureError(f"point with source {pt.source_index} has no sign-flipped partner")
-        antipode.append(partner)
-    return GramView(entries=code.gram, antipode=tuple(antipode))
+    """Validated Gram view of an embedded code, pairing each point with its sign flip."""
+    return GramView(entries=code.gram, antipode=code.antipode)
 
 
 def gram_from_lattice(code: LatticeCode) -> GramView:
     """Exact normalized Gram of an integer code, with pairing when antipodal."""
-    values: dict[int, Fraction] = {}
-
-    def normalized(s: int) -> Fraction:
-        if s not in values:
-            values[s] = Fraction(s, code.norm_sq_scaled)
-        return values[s]
-
     pts = code.points
-    entries = tuple(
-        tuple(normalized(sum(a * b for a, b in zip(p, q))) for q in pts)
-        for p in pts
-    )
+    dots = [[scaled_dot(p, q) for q in pts] for p in pts]
+    values = {s: Fraction(s, code.norm_sq_scaled) for s in set().union(*dots)}
+    entries = tuple(tuple(values[s] for s in row) for row in dots)
     antipode = None
     if code.is_antipodal():
         index = {p: i for i, p in enumerate(pts)}
@@ -168,21 +135,35 @@ def gram_from_lattice(code: LatticeCode) -> GramView:
     return GramView(entries=entries, antipode=antipode)
 
 
-def gram_spectrum(g: GramView) -> Spectrum:
+# The folds read g.n, g.histogram and g.antipode of a validated GramView or of
+# a built EmbeddedCode, whose diagonal and antipodal entries are 1 and -1.
+Histogrammed = GramView | EmbeddedCode
+
+
+def _off_diagonal(g: Histogrammed, include_antipodal: bool = True) -> Counter:
+    """Histogram without the n diagonal 1s and, optionally, the n antipodal -1s."""
+    counts = g.histogram.copy()
+    counts[Fraction(1)] -= g.n
+    if not include_antipodal and g.antipode is not None:
+        counts[Fraction(-1)] -= g.n
+    return +counts
+
+
+def gram_spectrum(g: Histogrammed) -> Spectrum:
     """Value counts over ordered distinct pairs."""
-    counts = g.off_diagonal()
+    counts = _off_diagonal(g)
     return {v: counts[v] for v in sorted(counts)}
 
 
-def max_coherence(g: GramView, include_antipodal: bool = False) -> Rational:
+def max_coherence(g: Histogrammed, include_antipodal: bool = False) -> Rational:
     """Largest |gram entry| over distinct pairs, skipping antipodal ones."""
-    counts = g.off_diagonal(include_antipodal)
+    counts = _off_diagonal(g, include_antipodal)
     if not counts:
         raise DomainError("no admissible pair to take coherence over")
     return max(abs(v) for v in counts)
 
 
-def frame_bound_check(g: GramView, dim: int) -> FrameCheck:
+def frame_bound_check(g: Histogrammed, dim: int) -> FrameCheck:
     """Compare the squared-entry sum of the Gram against n^2/dim, exactly.
 
     The sum runs over all ordered pairs including the diagonal; for any
@@ -226,7 +207,7 @@ def quadratic_bound(n: int, dim: int) -> QuadraticBound:
     return QuadraticBound(radicand=radicand, exact=root is not None, value=root)
 
 
-def design_strength(g: GramView, d_sphere: int, t_max: int) -> DesignCheck:
+def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:
     """Largest t <= t_max with vanishing Gegenbauer moment sums for k = 1..t.
 
     The k-th residual is sum over all ordered pairs (diagonal included) of
@@ -254,19 +235,19 @@ def certify(code: EmbeddedCode, t_max: int = 3) -> CodeReport:
 
     The verdict is exact: the code is optimal among antipodal codes of the
     same size and dimension iff its coherence squared equals the bound's
-    radicand.
+    radicand.  Every certificate folds over the code's histogram; no Gram
+    is built.
     """
-    g = gram_from_embedded(code)
     dim = code.ambient_harmonic_dim
-    coherence = max_coherence(g)
-    bound = quadratic_bound(g.n, dim)
-    frame = frame_bound_check(g, dim)
-    design = design_strength(g, dim - 1, t_max)
+    coherence = max_coherence(code)
+    bound = quadratic_bound(code.n, dim)
+    frame = frame_bound_check(code, dim)
+    design = design_strength(code, dim - 1, t_max)
     return CodeReport(
         ambient_dim=dim,
-        n_points=g.n,
+        n_points=code.n,
         coherence_a=coherence,
-        spectrum=gram_spectrum(g),
+        spectrum=gram_spectrum(code),
         lower_bound_a=bound.value,
         bound_radicand=bound.radicand,
         frame_sum=frame.frame_sum,

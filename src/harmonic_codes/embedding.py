@@ -5,20 +5,24 @@ symmetric matrix with rational entries whenever x has integer scaled
 coordinates.  Normalized Frobenius inner products of these matrices
 reproduce the degree-2 Gegenbauer value of the original inner product,
 which is what makes the E8 image an antipodal code with all non-antipodal
-inner products of absolute value 1/7.
+inner products of absolute value 1/7.  A built code therefore takes its Gram
+values from integer dot products and forms the matrices only for export.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List
 
-from .exact import DimensionError, Rational, StructureError, SymMatrix, frobenius_inner
-from .harmonics import harmonic_dimension
-from .lattice import LatticeCode, select_antipodal_representatives
+from .exact import (DimensionError, Rational, StructureError, SymMatrix, frobenius_inner,
+                    parse_rational)
+from .harmonics import GegenbauerPoly, gegenbauer, harmonic_dimension
+from .lattice import LatticeCode, scaled_dot, select_antipodal_representatives, spectrum
 
 
 @dataclass(frozen=True)
@@ -43,14 +47,70 @@ class EmbeddedPoint:
 
 @dataclass(frozen=True)
 class EmbeddedCode:
-    """Embedded antipodal code with its exact normalized Gram matrix."""
+    """Degree-2 image of an antipodal equinorm code, held as its representatives.
 
-    ambient_harmonic_dim: int
-    points: tuple[EmbeddedPoint, ...]
-    gram: tuple[tuple[Rational, ...], ...]
+    Point i < N is the image of reps.points[i] and point i + N is its sign
+    flip, so the 2N x 2N Gram is [[B, -B], [-B, B]] with B[i][j] the kernel
+    value g2 of the i-th and j-th representatives' inner product.  Certificates
+    read only n, antipode and histogram; points and gram are built on first access.
+    """
+
+    reps: LatticeCode
+
+    @property
+    def n(self) -> int:
+        return 2 * len(self.reps)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.n
+
+    @property
+    def ambient_harmonic_dim(self) -> int:
+        return harmonic_dimension(self.reps.ambient_dim - 1, 2)
+
+    @cached_property
+    def antipode(self) -> tuple[int, ...]:
+        half = len(self.reps)
+        return tuple(range(half, self.n)) + tuple(range(half))
+
+    @cached_property
+    def kernel(self) -> GegenbauerPoly:
+        """g2(t) = (m t^2 - 1)/(m - 1), the Gram value of inner product t."""
+        return gegenbauer(self.reps.ambient_dim - 1, 2)
+
+    @cached_property
+    def histogram(self) -> Counter:
+        """Gram value counts over all ordered pairs, diagonal included.
+
+        The diagonal gives n entries +1 and the antipodal pairs n entries -1;
+        each ordered representative pair at inner product t (spectrum counts
+        ordered pairs) appears twice as +g2(t) and twice as -g2(t).
+        """
+        counts = Counter({Fraction(1): self.n, Fraction(-1): self.n})
+        for t, c in spectrum(self.reps).items():
+            v = self.kernel(t)
+            counts[v] += 2 * c
+            counts[-v] += 2 * c
+        return counts
+
+    @cached_property
+    def points(self) -> tuple[EmbeddedPoint, ...]:
+        embedded = [embed_degree2(self.reps, i) for i in range(len(self.reps))]
+        return tuple(embedded) + tuple(
+            EmbeddedPoint(matrix=pt.matrix, source_index=pt.source_index, sign=-1)
+            for pt in embedded
+        )
+
+    @cached_property
+    def gram(self) -> tuple[tuple[Rational, ...], ...]:
+        """The exact 2N x 2N Gram, through one map from integer dot products to g2."""
+        pts, norm = self.reps.points, self.reps.norm_sq_scaled
+        dots = [[scaled_dot(p, q) for q in pts] for p in pts]
+        plus = {s: self.kernel(Fraction(s, norm)) for s in set().union(*dots)}
+        minus = {s: -v for s, v in plus.items()}
+        top = tuple(tuple([plus[s] for s in row] + [minus[s] for s in row]) for row in dots)
+        bottom = tuple(tuple([minus[s] for s in row] + [plus[s] for s in row]) for row in dots)
+        return top + bottom
 
 
 def embed_degree2(code: LatticeCode, index: int) -> EmbeddedPoint:
@@ -99,51 +159,14 @@ def _integer_flat(point: EmbeddedPoint, denom: int) -> tuple[int, ...]:
     return tuple(flat)
 
 
-def _base_gram(flats: list[tuple[int, ...]]) -> list[list[int]]:
-    """Full square of pairwise integer Frobenius sums, exact."""
-    n = len(flats)
-    full = [[0] * n for _ in range(n)]
-    for i, a in enumerate(flats):
-        for j in range(i, n):
-            full[i][j] = full[j][i] = sum(x * y for x, y in zip(a, flats[j]))
-    return full
-
-
 def build_code(roots: LatticeCode) -> EmbeddedCode:
-    """Embed an antipodal equinorm code and attach the 2N x 2N exact Gram.
-
-    One representative per antipodal pair is embedded; the full point list
-    is the 120 images followed by their sign-flipped copies (for E8).
-    Gram entries are Frobenius sums computed over a common denominator, so
-    the whole matrix is exact.
-    """
+    """Embed an antipodal equinorm code, kept as one point per antipodal pair."""
     reps = select_antipodal_representatives(roots)
     if not reps.points:
         raise StructureError("code has no points to embed")
-    embedded = [embed_degree2(reps, i) for i in range(len(reps))]
-    denom = reps.norm_sq_scaled * reps.ambient_dim
-    flats = [_integer_flat(pt, denom) for pt in embedded]
-    raw = _base_gram(flats)
-    norm = raw[0][0]
-    for i in range(len(reps)):
-        if raw[i][i] != norm:
-            raise StructureError("embedded points are not equinorm")
-    base = [[Fraction(raw[i][j], norm) for j in range(len(reps))] for i in range(len(reps))]
-    neg = [[-x for x in row] for row in base]
-    points = tuple(embedded) + tuple(
-        EmbeddedPoint(matrix=pt.matrix, source_index=pt.source_index, sign=-1)
-        for pt in embedded
-    )
-    gram = tuple(
-        tuple(base[i] + neg[i]) for i in range(len(reps))
-    ) + tuple(
-        tuple(neg[i] + base[i]) for i in range(len(reps))
-    )
-    return EmbeddedCode(
-        ambient_harmonic_dim=harmonic_dimension(reps.ambient_dim - 1, 2),
-        points=points,
-        gram=gram,
-    )
+    if reps.ambient_dim < 2:
+        raise StructureError("ambient dimension must be at least 2")
+    return EmbeddedCode(reps)
 
 
 def flatten_coordinates(p: EmbeddedPoint) -> List[float]:
@@ -203,8 +226,8 @@ def gram_from_text(text: str) -> tuple[tuple[Rational, ...], ...]:
     rows = []
     for line in lines[1:]:
         try:
-            row = tuple(Fraction(tok) for tok in line.split())
-        except (ValueError, ZeroDivisionError) as exc:
+            row = tuple(parse_rational(tok) for tok in line.split())
+        except ValueError as exc:
             raise StructureError("bad rational token in gram row") from exc
         if len(row) != n:
             raise StructureError("gram row has wrong length")

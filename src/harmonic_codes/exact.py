@@ -35,7 +35,12 @@ def rat(num: int, den: int = 1) -> Rational:
 
 
 def parse_rational(token: str) -> Rational:
-    """A p/q (or decimal) token as a Rational; malformed tokens are a DomainError."""
+    """A p/q (or plain decimal) token as a Rational; malformed tokens are a DomainError.
+
+    Exponent notation is rejected: 1e29999999 would expand to a huge integer.
+    """
+    if "e" in token or "E" in token:
+        raise DomainError(f"exponent notation is not accepted: {token!r}")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, TextIO
+from operator import mul
+from typing import Dict
 
 from .exact import Rational, StructureError
 
@@ -23,7 +24,7 @@ Spectrum = Dict[Rational, int]
 
 
 def scaled_dot(p: tuple[int, ...], q: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(p, q))
+    return sum(map(mul, p, q))
 
 
 @dataclass(frozen=True)
@@ -165,11 +166,3 @@ def code_from_text(text: str) -> LatticeCode:
         norm_sq_scaled=norm_sq,
         points=points,
     )
-
-
-def write_code_file(code: LatticeCode, f: TextIO) -> None:
-    f.write(code_to_text(code))
-
-
-def read_code_file(f: TextIO) -> LatticeCode:
-    return code_from_text(f.read())

@@ -73,6 +73,13 @@ def test_gegenbauer_bad_point_exits_one(capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err == "harmonic-codes: error: bad rational token '1/0'\n"
+    assert main(["gegenbauer", "-d", "3", "-k", "2", "--at", "1e29999999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # rejected before Fraction would expand it to a thirty-million-digit integer
+    assert captured.err == (
+        "harmonic-codes: error: exponent notation is not accepted: '1e29999999'\n"
+    )
 
 
 def test_bound_exact(capsys):
@@ -183,6 +190,15 @@ def test_scan_bad_n_points_writes_nothing(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("harmonic-codes: error:")
+
+
+def test_scan_exponent_token_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n1e29999999\n"))
+    assert main(["scan", "--in", "-", "-d", "7", "-k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("harmonic-codes: error:")
+    assert captured.err.count("\n") == 1
 
 
 def test_export_exact_round_trip(roots_file, tmp_path, capsys, e8_code):

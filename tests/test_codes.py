@@ -3,9 +3,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from harmonic_codes.codes import (
     CodeReport,
@@ -23,10 +25,16 @@ from harmonic_codes.codes import (
     report_to_dict,
     report_to_json,
 )
-from harmonic_codes.embedding import EmbeddedCode, EmbeddedPoint, build_code
+from harmonic_codes.embedding import (
+    EmbeddedPoint,
+    _integer_flat,
+    build_code,
+    embed_degree2,
+    normalized_inner,
+)
 from harmonic_codes.exact import DomainError, StructureError, SymMatrix
 from harmonic_codes.harmonics import gegenbauer
-from harmonic_codes.lattice import LatticeCode
+from harmonic_codes.lattice import LatticeCode, select_antipodal_representatives
 
 
 def _pair_code():
@@ -75,14 +83,10 @@ def test_gram_from_embedded_two_point_pair():
 
 
 def test_gram_from_embedded_missing_partner():
-    code = _pair_code()
-    broken = EmbeddedCode(
-        ambient_harmonic_dim=code.ambient_harmonic_dim,
-        points=code.points[:1],
-        gram=(code.gram[0][:1],),
-    )
+    # one point of the pair, its antipode map still naming the dropped partner
+    g = gram_from_embedded(_pair_code())
     with pytest.raises(StructureError):
-        gram_from_embedded(broken)
+        GramView(entries=(g.entries[0][:1],), antipode=g.antipode[:1])
 
 
 def test_gram_view_validation():
@@ -343,25 +347,23 @@ def test_certify_orthonormal_plus_minus():
         return SymMatrix.from_rows(entries)
 
     mats = [unit(0, 1), unit(0, 2), unit(1, 2)]
-    points = tuple(
+    points = [
         EmbeddedPoint(matrix=m, source_index=i, sign=s)
         for s in (1, -1)
         for i, m in enumerate(mats)
+    ]
+    g = GramView(
+        entries=tuple(tuple(normalized_inner(a, b) for b in points) for a in points),
+        antipode=(3, 4, 5, 0, 1, 2),
     )
-    one, zero = Fraction(1), Fraction(0)
-    block = [[one if i == j else zero for j in range(3)] for i in range(3)]
-    gram = tuple(
-        tuple(row + [-x for x in row]) for row in block
-    ) + tuple(
-        tuple([-x for x in row] + row) for row in block
-    )
-    report = certify(EmbeddedCode(ambient_harmonic_dim=3, points=points, gram=gram))
-    assert report.n_points == 6
-    assert report.coherence_a == 0
-    assert report.lower_bound_a == 0
-    assert report.frame_sum == report.frame_bound == 12
-    assert report.design_strength == 3
-    assert report.optimal_antipodal
+    bound = quadratic_bound(g.n, 3)
+    frame = frame_bound_check(g, 3)
+    assert g.n == 6
+    assert max_coherence(g) == 0
+    assert bound.value == 0
+    assert frame.frame_sum == frame.frame_bound == 12
+    assert design_strength(g, 2, 3).strength == 3
+    assert max_coherence(g) ** 2 == bound.radicand
 
 
 def test_certify_non_optimal_code():
@@ -428,16 +430,15 @@ def test_report_json_irrational_bound():
     assert json.loads(report_to_json(report))["bound"] == "sqrt(25/1152)"
 
 
-# --- histogram folds against a direct scan ----------------------------------
+# --- histogram folds against an independent witness ------------------------
 
 
-def _cross_polytope_code():
+def _cross_polytope_roots():
     basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    points = basis + tuple(tuple(-x for x in p) for p in basis)
-    return build_code(LatticeCode(3, 1, 1, points))
+    return LatticeCode(3, 1, 1, basis + tuple(tuple(-x for x in p) for p in basis))
 
 
-def _d4_code():
+def _d4_roots():
     points = []
     for i, j in combinations(range(4), 2):
         for si in (1, -1):
@@ -445,17 +446,33 @@ def _d4_code():
                 p = [0] * 4
                 p[i], p[j] = si, sj
                 points.append(tuple(p))
-    return build_code(LatticeCode(4, 1, 2, tuple(points)))
+    return LatticeCode(4, 1, 2, tuple(points))
 
 
-def _direct_certificate(code, t_max):
-    """Spectrum, frame sum, residuals and coherence by a double loop over code.gram."""
-    gram, pts = code.gram, code.points
+def _frobenius_gram(roots):
+    """The 2N x 2N Gram of the sign-paired degree-2 images from integer Frobenius
+    sums of the explicit matrices, as acceptance criterion 05 computes them.
+
+    Shares no code with the kernel map behind build_code's histogram and gram.
+    """
+    reps = select_antipodal_representatives(roots)
+    denom = reps.norm_sq_scaled * reps.ambient_dim
+    flats = [_integer_flat(embed_degree2(reps, i), denom) for i in range(len(reps))]
+    norm = sum(x * x for x in flats[0])
+    base = [[Fraction(sum(x * y for x, y in zip(a, b)), norm) for b in flats] for a in flats]
+    return tuple(
+        tuple(s * v for s in signs for v in row)
+        for signs in ((1, -1), (-1, 1))
+        for row in base
+    )
+
+
+def _direct_certificate(gram, dim, t_max):
+    """Spectrum, frame sum, residuals and coherence by a double loop over the
+    witness Gram, whose point i + N is the sign flip of point i."""
+    half = len(gram) // 2
     # memoized per value only to keep the E8 scan short; every entry is still summed
-    polys = [
-        lru_cache(maxsize=None)(gegenbauer(code.ambient_harmonic_dim - 1, k).evaluate)
-        for k in range(1, t_max + 1)
-    ]
+    polys = [lru_cache(maxsize=None)(gegenbauer(dim - 1, k).evaluate) for k in range(1, t_max + 1)]
     spectrum, frame_sum, coherence = Counter(), Fraction(0), Fraction(0)
     residuals = [Fraction(0)] * t_max
     for i, row in enumerate(gram):
@@ -466,29 +483,71 @@ def _direct_certificate(code, t_max):
             if i == j:
                 continue
             spectrum[v] += 1
-            antipodal = (
-                pts[i].source_index == pts[j].source_index and pts[i].sign != pts[j].sign
-            )
-            if not antipodal:
+            if j != (i + half) % len(gram):
                 coherence = max(coherence, abs(v))
     return dict(spectrum), frame_sum, tuple(residuals), coherence
 
 
 @pytest.mark.parametrize(
     "make, optimal",
-    [(_cross_polytope_code, False), (_d4_code, False), (None, True)],
+    [(_cross_polytope_roots, False), (_d4_roots, False), (None, True)],
     ids=["cross-polytope-3", "d4-roots", "e8"],
 )
-def test_histogram_folds_match_direct_scan(make, optimal, e8_code):
-    code = e8_code if make is None else make()
+def test_histogram_folds_match_direct_scan(make, optimal, e8_roots):
+    roots = e8_roots if make is None else make()
+    code = build_code(roots)
     t_max = 3
-    spectrum, frame_sum, residuals, coherence = _direct_certificate(code, t_max)
+    dim = code.ambient_harmonic_dim
+    spectrum, frame_sum, residuals, coherence = _direct_certificate(
+        _frobenius_gram(roots), dim, t_max
+    )
     report = certify(code, t_max=t_max)
     assert report.spectrum == spectrum
     assert report.frame_sum == frame_sum
     assert report.coherence_a == coherence
     assert report.optimal_antipodal is optimal
-    check = design_strength(gram_from_embedded(code), code.ambient_harmonic_dim - 1, t_max)
+    check = design_strength(code, dim - 1, t_max)
     assert check.residuals == residuals
     strength = next((k for k, r in enumerate(residuals) if r != 0), t_max)
     assert report.design_strength == check.strength == strength
+
+
+@st.composite
+def signed_permutation_codes(draw):
+    """All signed permutations of a random small integer vector in dims 2-5."""
+    m = draw(st.integers(2, 5))
+    nonzero = draw(st.lists(st.integers(1, 3), min_size=1, max_size=min(m, 3)))
+    v = tuple(nonzero) + (0,) * (m - len(nonzero))
+    points = {
+        tuple(s * c for s, c in zip(signs, perm))
+        for perm in set(permutations(v))
+        for signs in product((1, -1), repeat=m)
+    }
+    assume(len(points) <= 200)
+    return LatticeCode(m, 1, sum(c * c for c in v), tuple(sorted(points)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(roots=signed_permutation_codes(), t_max=st.integers(1, 5))
+def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
+    code = build_code(roots)
+    gram = _frobenius_gram(roots)
+    assert code.gram == gram
+    g = GramView(entries=gram, antipode=code.antipode)
+    dim = code.ambient_harmonic_dim
+    bound = quadratic_bound(g.n, dim)
+    frame = frame_bound_check(g, dim)
+    coherence = max_coherence(g)
+    assert certify(code, t_max=t_max) == CodeReport(
+        ambient_dim=dim,
+        n_points=g.n,
+        coherence_a=coherence,
+        spectrum=gram_spectrum(g),
+        lower_bound_a=bound.value,
+        bound_radicand=bound.radicand,
+        frame_sum=frame.frame_sum,
+        frame_bound=frame.frame_bound,
+        design_strength=design_strength(g, dim - 1, t_max).strength,
+        optimal_antipodal=coherence * coherence == bound.radicand,
+    )
+    assert code.histogram == g.histogram

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -5,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from harmonic_codes import embedding
+from harmonic_codes.cli import main
+from harmonic_codes.codes import certify, report_to_json
 from harmonic_codes.embedding import (
     EmbeddedPoint,
     build_code,
@@ -22,7 +26,7 @@ from harmonic_codes.exact import (
     frobenius_inner,
 )
 from harmonic_codes.harmonics import gegenbauer
-from harmonic_codes.lattice import LatticeCode
+from harmonic_codes.lattice import LatticeCode, code_to_text
 
 # split of the 57120 non-antipodal gram entries, frozen from the exact scan
 POSITIVE_SEVENTH_COUNT = 28560
@@ -189,6 +193,8 @@ def test_gram_text_rejects_malformed():
         gram_from_text("1\n1 0\n")
     with pytest.raises(StructureError):
         gram_from_text("1\nx\n")
+    with pytest.raises(StructureError):
+        gram_from_text("1\n1e400\n")
 
 
 def test_embedded_point_validation():
@@ -197,3 +203,42 @@ def test_embedded_point_validation():
     traceless = SymMatrix.diagonal([Fraction(1, 2), Fraction(-1, 2)])
     with pytest.raises(StructureError):
         EmbeddedPoint(matrix=traceless, source_index=0, sign=2)
+
+
+# the certificate printed in the README
+README_CERTIFICATE = {
+    "ambient_dim": 35,
+    "n_points": 240,
+    "coherence": "1/7",
+    "spectrum": {"-1": 240, "-1/7": 28560, "1/7": 28560},
+    "bound": "1/7",
+    "frame_sum": "11520/7",
+    "frame_bound": "11520/7",
+    "design_strength": 3,
+    "optimal_antipodal": True,
+}
+
+
+class _MatrixBuilt(Exception):
+    pass
+
+
+def test_certificates_build_no_matrices(e8_roots, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "e8.code"
+    path.write_text(code_to_text(e8_roots), encoding="utf-8")
+
+    def refuse(code, index):
+        raise _MatrixBuilt(index)
+
+    monkeypatch.setattr(embedding, "embed_degree2", refuse)
+    code = build_code(e8_roots)
+    assert json.loads(report_to_json(certify(code))) == README_CERTIFICATE
+    assert main(["certify", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == README_CERTIFICATE
+    with pytest.raises(_MatrixBuilt):
+        float_code_to_text(code)
+    monkeypatch.undo()
+    assert main(["export", "--float", "--in", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "35 240 float"
+    assert len(lines) == 241

@@ -10,6 +10,7 @@ from harmonic_codes.exact import (
     StructureError,
     SymMatrix,
     frobenius_inner,
+    parse_rational,
     rat,
 )
 
@@ -136,3 +137,11 @@ def test_symmatrix_rejects_non_square():
 def test_trace():
     m = SymMatrix.from_rows([[Fraction(1, 3), 0], [0, Fraction(2, 3)]])
     assert m.trace() == 1
+
+
+def test_parse_rational_tokens():
+    assert parse_rational("-3/6") == Fraction(-1, 2)
+    assert parse_rational("0.25") == Fraction(1, 4)
+    for token in ("1/0", "x", "1e400", "2.5E-3", "1e29999999"):
+        with pytest.raises(DomainError):
+            parse_rational(token)

@@ -9,11 +9,9 @@ from harmonic_codes.lattice import (
     LatticeCode,
     code_from_text,
     code_to_text,
-    read_code_file,
     scaled_dot,
     select_antipodal_representatives,
     spectrum,
-    write_code_file,
 )
 
 
@@ -133,9 +131,9 @@ def test_code_validation():
 def test_file_round_trip_is_bit_exact(e8_roots, tmp_path):
     path = tmp_path / "e8.code"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        write_code_file(e8_roots, f)
+        f.write(code_to_text(e8_roots))
     with open(path, "r", encoding="utf-8") as f:
-        back = read_code_file(f)
+        back = code_from_text(f.read())
     assert back == e8_roots
     assert code_to_text(back) == code_to_text(e8_roots)
     assert code_to_text(back) == path.read_text(encoding="utf-8")
@@ -161,5 +159,5 @@ def test_bad_files_rejected():
 
 
 def test_read_from_stream(e8_roots):
-    back = read_code_file(io.StringIO(code_to_text(e8_roots)))
+    back = code_from_text(io.StringIO(code_to_text(e8_roots)).read())
     assert back == e8_roots
