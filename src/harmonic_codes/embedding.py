@@ -6,7 +6,9 @@ coordinates.  Normalized Frobenius inner products of these matrices
 reproduce the degree-2 Gegenbauer value of the original inner product,
 which is what makes the E8 image an antipodal code with all non-antipodal
 inner products of absolute value 1/7.  A built code therefore takes its Gram
-values from integer dot products and forms the matrices only for export.
+values from integer dot products, and the float export writes each point's
+coordinates in closed form from its integer vector; the explicit matrices
+(embed_degree2) are the independent witness the tests compare against.
 """
 
 from __future__ import annotations
@@ -19,30 +21,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List
 
-from .exact import (DimensionError, Rational, StructureError, SymMatrix, frobenius_inner,
-                    parse_rational)
+from .exact import Rational, StructureError, SymMatrix, frobenius_inner, parse_rational
 from .harmonics import GegenbauerPoly, gegenbauer, harmonic_dimension
 from .lattice import LatticeCode, scaled_dot, select_antipodal_representatives, spectrum
-
-
-@dataclass(frozen=True)
-class EmbeddedPoint:
-    """A signed traceless symmetric matrix modelling one embedded point.
-
-    The sign flag distinguishes the embedding of a source point (+1) from
-    its formal negation (-1); the negated matrix itself is not the image
-    of any sphere point.
-    """
-
-    matrix: SymMatrix
-    source_index: int | None
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise StructureError("sign must be +1 or -1")
-        if self.matrix.trace() != 0:
-            raise StructureError("matrix must be traceless")
 
 
 @dataclass(frozen=True)
@@ -52,7 +33,7 @@ class EmbeddedCode:
     Point i < N is the image of reps.points[i] and point i + N is its sign
     flip, so the 2N x 2N Gram is [[B, -B], [-B, B]] with B[i][j] the kernel
     value g2 of the i-th and j-th representatives' inner product.  Certificates
-    read only n, antipode and histogram; points and gram are built on first access.
+    read only n, antipode and histogram; the exact gram is built on first access.
     """
 
     reps: LatticeCode
@@ -94,14 +75,6 @@ class EmbeddedCode:
         return counts
 
     @cached_property
-    def points(self) -> tuple[EmbeddedPoint, ...]:
-        embedded = [embed_degree2(self.reps, i) for i in range(len(self.reps))]
-        return tuple(embedded) + tuple(
-            EmbeddedPoint(matrix=pt.matrix, source_index=pt.source_index, sign=-1)
-            for pt in embedded
-        )
-
-    @cached_property
     def gram(self) -> tuple[tuple[Rational, ...], ...]:
         """The exact 2N x 2N Gram, through one map from integer dot products to g2."""
         pts, norm = self.reps.points, self.reps.norm_sq_scaled
@@ -113,7 +86,7 @@ class EmbeddedCode:
         return top + bottom
 
 
-def embed_degree2(code: LatticeCode, index: int) -> EmbeddedPoint:
+def embed_degree2(code: LatticeCode, index: int) -> SymMatrix:
     """Matrix model M_x of the degree-2 kernel element at one code point.
 
     Depends only on +-x, so antipodal source points share one matrix.
@@ -132,25 +105,18 @@ def embed_degree2(code: LatticeCode, index: int) -> EmbeddedPoint:
         )
         for i in range(m)
     )
-    return EmbeddedPoint(matrix=SymMatrix(entries), source_index=index, sign=1)
+    return SymMatrix(entries)
 
 
-def normalized_inner(a: EmbeddedPoint, b: EmbeddedPoint) -> Rational:
-    """Signed Frobenius inner product, normalized to 1 on the diagonal."""
-    if a.matrix.order != b.matrix.order:
-        raise DimensionError("matrix orders differ")
-    return (
-        a.sign
-        * b.sign
-        * frobenius_inner(a.matrix, b.matrix)
-        / frobenius_inner(a.matrix, a.matrix)
-    )
+def normalized_inner(a: SymMatrix, b: SymMatrix) -> Rational:
+    """Frobenius inner product, normalized to 1 on the diagonal."""
+    return frobenius_inner(a, b) / frobenius_inner(a, a)
 
 
-def _integer_flat(point: EmbeddedPoint, denom: int) -> tuple[int, ...]:
+def _integer_flat(matrix: SymMatrix, denom: int) -> tuple[int, ...]:
     """Entries of denom * matrix flattened row-major; denom clears them all."""
     flat = []
-    for row in point.matrix.entries:
+    for row in matrix.entries:
         for x in row:
             scaled = x * denom
             if scaled.denominator != 1:
@@ -169,26 +135,29 @@ def build_code(roots: LatticeCode) -> EmbeddedCode:
     return EmbeddedCode(reps)
 
 
-def flatten_coordinates(p: EmbeddedPoint) -> List[float]:
-    """Unit coordinate vector of the signed matrix in an orthonormal basis.
+def flatten_coordinates(code: LatticeCode, index: int) -> List[float]:
+    """Unit coordinate vector of M_x, x = code.points[index], in an orthonormal basis.
 
     Basis of the traceless symmetric matrices of order m: the off-diagonal
     units (e_i e_j^T + e_j e_i^T)/sqrt(2) for i < j, then the diagonal
-    chain diag(1,...,1,-r,0,...,0)/sqrt(r(r+1)) for r = 1..m-1.  Output
-    length is m(m+1)/2 - 1; the Euclidean norm is 1 up to float rounding.
+    chain diag(1,...,1,-r,0,...,0)/sqrt(r(r+1)) for r = 1..m-1.  With
+    p = x scaled to integers and n = |p|^2, the -I/m term cancels in every
+    coordinate and |M_x|^2 = (m - 1)/m, so each coordinate is an integer
+    ratio over one norm.  Output length is m(m+1)/2 - 1; the Euclidean norm
+    is 1 up to float rounding.
     """
-    mat = p.matrix.entries
-    m = p.matrix.order
-    norm = math.sqrt(float(frobenius_inner(p.matrix, p.matrix)))
+    p = code.points[index]
+    n = code.norm_sq_scaled
+    m = code.ambient_dim
+    norm = math.sqrt((m - 1) / m)
     coords = []
     for i in range(m):
         for j in range(i + 1, m):
-            coords.append(p.sign * math.sqrt(2.0) * float(mat[i][j]) / norm)
-    diag_partial = Fraction(0)
+            coords.append(math.sqrt(2.0) * (p[i] * p[j] / n) / norm)
+    partial = 0
     for r in range(1, m):
-        diag_partial += mat[r - 1][r - 1]
-        value = diag_partial - r * mat[r][r]
-        coords.append(p.sign * float(value) / (math.sqrt(r * (r + 1)) * norm))
+        partial += p[r - 1] * p[r - 1]
+        coords.append(((partial - r * p[r] * p[r]) / n) / (math.sqrt(r * (r + 1)) * norm))
     return coords
 
 
@@ -196,11 +165,16 @@ def flatten_coordinates(p: EmbeddedPoint) -> List[float]:
 
 
 def float_code_to_text(code: EmbeddedCode) -> str:
-    """Header `dim N float`, then one row of 17-significant-digit floats per point."""
+    """Header `dim N float`, then one row of 17-significant-digit floats per point.
+
+    The N representative rows come first, then the same rows negated.
+    """
+    rows = [flatten_coordinates(code.reps, i) for i in range(len(code.reps))]
     out = io.StringIO()
     out.write(f"{code.ambient_harmonic_dim} {len(code)} float\n")
-    for pt in code.points:
-        out.write(" ".join(f"{x:.17g}" for x in flatten_coordinates(pt)) + "\n")
+    for sign in (1, -1):
+        for row in rows:
+            out.write(" ".join(f"{sign * x:.17g}" for x in row) + "\n")
     return out.getvalue()
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 # The one scalar type of the certification path.  fractions.Fraction already
 # guarantees the canonical form we need: positive denominator, gcd-reduced.
@@ -63,39 +62,12 @@ class SymMatrix:
                 if self.entries[i][j] != self.entries[j][i]:
                     raise StructureError(f"entries ({i},{j}) and ({j},{i}) differ")
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int | Rational]]) -> "SymMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
-
-    @classmethod
-    def zero(cls, order: int) -> "SymMatrix":
-        z = Fraction(0)
-        return cls(tuple(tuple(z for _ in range(order)) for _ in range(order)))
-
-    @classmethod
-    def identity(cls, order: int) -> "SymMatrix":
-        return cls.diagonal([1] * order)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int | Rational]) -> "SymMatrix":
-        n = len(values)
-        z = Fraction(0)
-        return cls(
-            tuple(
-                tuple(Fraction(values[i]) if i == j else z for j in range(n))
-                for i in range(n)
-            )
-        )
-
     @property
     def order(self) -> int:
         return len(self.entries)
 
     def trace(self) -> Rational:
         return sum((self.entries[i][i] for i in range(self.order)), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
 
 def frobenius_inner(a: SymMatrix, b: SymMatrix) -> Rational:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,10 +27,10 @@ from harmonic_codes.codes import (
     report_to_json,
 )
 from harmonic_codes.embedding import (
-    EmbeddedPoint,
     _integer_flat,
     build_code,
     embed_degree2,
+    float_code_to_text,
     normalized_inner,
 )
 from harmonic_codes.exact import DomainError, StructureError, SymMatrix
@@ -344,16 +345,15 @@ def test_certify_orthonormal_plus_minus():
     def unit(i, j):
         entries = [[Fraction(0)] * 3 for _ in range(3)]
         entries[i][j] = entries[j][i] = Fraction(1)
-        return SymMatrix.from_rows(entries)
+        return SymMatrix(tuple(map(tuple, entries)))
 
     mats = [unit(0, 1), unit(0, 2), unit(1, 2)]
-    points = [
-        EmbeddedPoint(matrix=m, source_index=i, sign=s)
-        for s in (1, -1)
-        for i, m in enumerate(mats)
-    ]
+    # point i + 3 is the sign flip of point i
+    points = [(s, m) for s in (1, -1) for m in mats]
     g = GramView(
-        entries=tuple(tuple(normalized_inner(a, b) for b in points) for a in points),
+        entries=tuple(
+            tuple(s * t * normalized_inner(a, b) for t, b in points) for s, a in points
+        ),
         antipode=(3, 4, 5, 0, 1, 2),
     )
     bound = quadratic_bound(g.n, 3)
@@ -551,3 +551,11 @@ def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
         optimal_antipodal=coherence * coherence == bound.radicand,
     )
     assert code.histogram == g.histogram
+    # the closed-form float export against the same explicit Frobenius Gram
+    rows = [[float(x) for x in line.split()] for line in float_code_to_text(code).splitlines()[1:]]
+    half = len(rows) // 2
+    for i, row in enumerate(rows):
+        assert abs(math.sqrt(sum(x * x for x in row)) - 1.0) <= 1e-12
+        for j in range(i):
+            assert abs(sum(x * y for x, y in zip(row, rows[j])) - float(gram[i][j])) <= 1e-12
+    assert rows[half:] == [[-x for x in row] for row in rows[:half]]

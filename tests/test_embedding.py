@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -10,7 +11,6 @@ from harmonic_codes import embedding
 from harmonic_codes.cli import main
 from harmonic_codes.codes import certify, report_to_json
 from harmonic_codes.embedding import (
-    EmbeddedPoint,
     build_code,
     embed_degree2,
     flatten_coordinates,
@@ -19,23 +19,30 @@ from harmonic_codes.embedding import (
     gram_to_text,
     normalized_inner,
 )
-from harmonic_codes.exact import (
-    DimensionError,
-    StructureError,
-    SymMatrix,
-    frobenius_inner,
-)
+from harmonic_codes.exact import DimensionError, StructureError, frobenius_inner
 from harmonic_codes.harmonics import gegenbauer
-from harmonic_codes.lattice import LatticeCode, code_to_text
+from harmonic_codes.lattice import LatticeCode, code_to_text, generate_e8_roots
 
 # split of the 57120 non-antipodal gram entries, frozen from the exact scan
 POSITIVE_SEVENTH_COUNT = 28560
 NEGATIVE_SEVENTH_COUNT = 28560
 
+# sha256 of the E8 exports: any change to their bytes, float rounding included, fails
+FLOAT_EXPORT_SHA256 = "17146d12388234c5fec02a6790f208284e92caf684b740a1d64724964b212acb"
+EXACT_GRAM_SHA256 = "48165c816858619c30f6e65dfd8ee7fe4ef759cc4df436a807cd8724036f54e7"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _float_rows(code):
+    return [[float(x) for x in line.split()] for line in float_code_to_text(code).splitlines()[1:]]
+
 
 def test_embedded_matrix_of_first_shape(e8_roots):
     idx = e8_roots.points.index((2, 2, 0, 0, 0, 0, 0, 0))
-    m = embed_degree2(e8_roots, idx).matrix
+    m = embed_degree2(e8_roots, idx)
     for i in range(8):
         expected = Fraction(3, 8) if i < 2 else Fraction(-1, 8)
         assert m.entries[i][i] == expected
@@ -47,7 +54,7 @@ def test_embedded_matrix_of_first_shape(e8_roots):
 def test_embedding_identifies_antipodes(e8_roots):
     i = e8_roots.points.index((2, 2, 0, 0, 0, 0, 0, 0))
     j = e8_roots.points.index((-2, -2, 0, 0, 0, 0, 0, 0))
-    assert embed_degree2(e8_roots, i).matrix == embed_degree2(e8_roots, j).matrix
+    assert embed_degree2(e8_roots, i) == embed_degree2(e8_roots, j)
 
 
 def test_embed_index_out_of_range(e8_roots):
@@ -95,8 +102,14 @@ def test_build_code_shape(e8_code):
     assert e8_code.ambient_harmonic_dim == 35
     assert len(e8_code.gram) == 240
     assert all(len(row) == 240 for row in e8_code.gram)
-    signs = [p.sign for p in e8_code.points]
-    assert signs == [1] * 120 + [-1] * 120
+    assert e8_code.antipode == tuple(range(120, 240)) + tuple(range(120))
+    # the representatives come first and their sign flips second: each
+    # quadrant of the Gram is +-B, B the Frobenius Gram of the representatives
+    for i in (0, 7, 119):
+        for j in range(120):
+            b = normalized_inner(embed_degree2(e8_code.reps, i), embed_degree2(e8_code.reps, j))
+            assert e8_code.gram[i][j] == e8_code.gram[i + 120][j + 120] == b
+            assert e8_code.gram[i + 120][j] == e8_code.gram[i][j + 120] == -b
 
 
 def test_build_code_gram_values(e8_code):
@@ -123,13 +136,16 @@ def test_gram_matches_pointwise_inner(e8_code):
     rng = random.Random(23)
     for _ in range(60):
         i, j = rng.randrange(240), rng.randrange(240)
-        a, b = e8_code.points[i], e8_code.points[j]
-        assert e8_code.gram[i][j] == normalized_inner(a, b)
+        # point i + 120 is the sign flip of point i
+        s = 1 if (i >= 120) == (j >= 120) else -1
+        a, b = embed_degree2(e8_code.reps, i % 120), embed_degree2(e8_code.reps, j % 120)
+        assert e8_code.gram[i][j] == s * normalized_inner(a, b)
 
 
-def test_embedded_points_are_equinorm(e8_code):
-    norms = {frobenius_inner(p.matrix, p.matrix) for p in e8_code.points}
-    assert norms == {Fraction(7, 8)}
+def test_embedded_points_are_equinorm(e8_roots):
+    images = [embed_degree2(e8_roots, i) for i in range(240)]
+    assert {m.trace() for m in images} == {0}
+    assert {frobenius_inner(m, m) for m in images} == {Fraction(7, 8)}
 
 
 def test_build_code_rejects_non_antipodal():
@@ -144,27 +160,25 @@ def test_build_code_rejects_empty_code():
 
 
 def test_flatten_length_and_norm(e8_code):
-    for p in (e8_code.points[0], e8_code.points[150]):
-        coords = flatten_coordinates(p)
+    rows = _float_rows(e8_code)
+    assert flatten_coordinates(e8_code.reps, 0) == rows[0]
+    for coords in (rows[0], rows[150]):
         assert len(coords) == 35
         norm = math.sqrt(sum(x * x for x in coords))
         assert abs(norm - 1.0) <= 1e-12
 
 
 def test_flatten_sign(e8_code):
-    plus = flatten_coordinates(e8_code.points[5])
-    minus = flatten_coordinates(e8_code.points[125])
-    assert minus == [-x for x in plus]
+    rows = _float_rows(e8_code)
+    assert flatten_coordinates(e8_code.reps, 5) == rows[5]
+    assert rows[125] == [-x for x in rows[5]]
 
 
 def test_flatten_preserves_inner_products(e8_code):
     rng = random.Random(29)
-    flats = {}
+    flats = _float_rows(e8_code)
     for _ in range(80):
         i, j = rng.randrange(240), rng.randrange(240)
-        for t in (i, j):
-            if t not in flats:
-                flats[t] = flatten_coordinates(e8_code.points[t])
         dot = sum(x * y for x, y in zip(flats[i], flats[j]))
         assert abs(dot - float(e8_code.gram[i][j])) <= 1e-12
 
@@ -197,12 +211,10 @@ def test_gram_text_rejects_malformed():
         gram_from_text("1\n1e400\n")
 
 
-def test_embedded_point_validation():
-    with pytest.raises(StructureError):
-        EmbeddedPoint(matrix=SymMatrix.identity(2), source_index=0, sign=1)
-    traceless = SymMatrix.diagonal([Fraction(1, 2), Fraction(-1, 2)])
-    with pytest.raises(StructureError):
-        EmbeddedPoint(matrix=traceless, source_index=0, sign=2)
+def test_export_bytes_are_pinned():
+    code = build_code(generate_e8_roots())
+    assert _sha256(float_code_to_text(code)) == FLOAT_EXPORT_SHA256
+    assert _sha256(gram_to_text(code.gram)) == EXACT_GRAM_SHA256
 
 
 # the certificate printed in the README
@@ -235,10 +247,7 @@ def test_certificates_build_no_matrices(e8_roots, tmp_path, capsys, monkeypatch)
     assert json.loads(report_to_json(certify(code))) == README_CERTIFICATE
     assert main(["certify", "--in", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == README_CERTIFICATE
-    with pytest.raises(_MatrixBuilt):
-        float_code_to_text(code)
-    monkeypatch.undo()
+    # the float export is written from the integer representatives alone
+    assert _sha256(float_code_to_text(code)) == FLOAT_EXPORT_SHA256
     assert main(["export", "--float", "--in", str(path)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "35 240 float"
-    assert len(lines) == 241
+    assert _sha256(capsys.readouterr().out) == FLOAT_EXPORT_SHA256

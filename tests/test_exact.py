@@ -75,11 +75,15 @@ def _rand_sym(rng, n):
     for i in range(n):
         for j in range(i, n):
             vals[i][j] = vals[j][i] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return SymMatrix.from_rows(vals)
+    return _sym(vals)
+
+
+def _sym(rows):
+    return SymMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
 
 def _add(a, b):
-    return SymMatrix.from_rows(
+    return _sym(
         [
             [x + y for x, y in zip(ra, rb)]
             for ra, rb in zip(a.entries, b.entries)
@@ -88,27 +92,27 @@ def _add(a, b):
 
 
 def _scale(c, a):
-    return SymMatrix.from_rows([[c * x for x in row] for row in a.entries])
+    return _sym([[c * x for x in row] for row in a.entries])
 
 
 def test_frobenius_identity():
-    i2 = SymMatrix.identity(2)
+    i2 = _sym([[1, 0], [0, 1]])
     assert frobenius_inner(i2, i2) == 2
 
 
 def test_frobenius_with_zero():
-    m = SymMatrix.from_rows([[1, 2], [2, 3]])
-    assert frobenius_inner(m, SymMatrix.zero(2)) == 0
+    m = _sym([[1, 2], [2, 3]])
+    assert frobenius_inner(m, _sym([[0, 0], [0, 0]])) == 0
 
 
 def test_frobenius_signed_diagonal():
-    m = SymMatrix.diagonal([Fraction(1, 2), Fraction(-1, 2)])
+    m = _sym([[Fraction(1, 2), 0], [0, Fraction(-1, 2)]])
     assert frobenius_inner(m, m) == Fraction(1, 2)
 
 
 def test_frobenius_order_mismatch():
     with pytest.raises(DimensionError):
-        frobenius_inner(SymMatrix.identity(2), SymMatrix.identity(3))
+        frobenius_inner(_sym([[1, 0], [0, 1]]), _sym([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def test_frobenius_is_symmetric_bilinear_positive():
@@ -121,21 +125,21 @@ def test_frobenius_is_symmetric_bilinear_positive():
         assert frobenius_inner(a, _add(b, c)) == frobenius_inner(a, b) + frobenius_inner(a, c)
         assert frobenius_inner(a, _scale(s, b)) == s * frobenius_inner(a, b)
         assert frobenius_inner(a, a) >= 0
-        assert (frobenius_inner(a, a) == 0) == a.is_zero()
+        assert (frobenius_inner(a, a) == 0) == all(x == 0 for row in a.entries for x in row)
 
 
 def test_symmatrix_rejects_asymmetry():
     with pytest.raises(StructureError):
-        SymMatrix.from_rows([[1, 2], [3, 4]])
+        _sym([[1, 2], [3, 4]])
 
 
 def test_symmatrix_rejects_non_square():
     with pytest.raises(StructureError):
-        SymMatrix.from_rows([[1, 2, 3], [2, 1, 3]])
+        _sym([[1, 2, 3], [2, 1, 3]])
 
 
 def test_trace():
-    m = SymMatrix.from_rows([[Fraction(1, 3), 0], [0, Fraction(2, 3)]])
+    m = _sym([[Fraction(1, 3), 0], [0, Fraction(2, 3)]])
     assert m.trace() == 1
 
 
