@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Mapping, TextIO
 
-from .codes import QuadraticBound, format_bound, format_rational, quadratic_bound
+from .codes import QuadraticBound, format_bound, quadratic_bound
 from .exact import DomainError, Rational, parse_rational
 from .harmonics import gegenbauer, harmonic_dimension
 
@@ -115,11 +115,11 @@ def scan_to_dict(result: ScanResult) -> dict:
         "k": result.k,
         "harmonic_dim": result.harmonic_dim,
         "image": {
-            format_rational(v): format_rational(result.image_values[v])
+            str(v): str(result.image_values[v])
             for v in sorted(result.image_values)
         },
         "constant_modulus": result.constant_modulus,
-        "modulus": None if result.modulus is None else format_rational(result.modulus),
+        "modulus": None if result.modulus is None else str(result.modulus),
     }
 
 
@@ -127,7 +127,7 @@ def candidate_to_dict(summary: CandidateSummary) -> dict:
     return {
         "ambient_dim": summary.harmonic_dim,
         "n_points": summary.n_points,
-        "coherence": format_rational(summary.coherence),
+        "coherence": str(summary.coherence),
         "bound": format_bound(summary.bound.value, summary.bound.radicand),
         "constant_modulus": summary.constant_modulus,
     }

@@ -260,10 +260,6 @@ def certify(code: EmbeddedCode, t_max: int = 3) -> CodeReport:
 # --- report serialization ---------------------------------------------------
 
 
-def format_rational(q: Rational) -> str:
-    return str(q)
-
-
 def format_bound(value: Rational | None, radicand: Rational) -> str:
     if value is not None:
         return str(value)
@@ -274,13 +270,13 @@ def report_to_dict(report: CodeReport) -> dict:
     return {
         "ambient_dim": report.ambient_dim,
         "n_points": report.n_points,
-        "coherence": format_rational(report.coherence_a),
+        "coherence": str(report.coherence_a),
         "spectrum": {
-            format_rational(v): report.spectrum[v] for v in sorted(report.spectrum)
+            str(v): report.spectrum[v] for v in sorted(report.spectrum)
         },
         "bound": format_bound(report.lower_bound_a, report.bound_radicand),
-        "frame_sum": format_rational(report.frame_sum),
-        "frame_bound": format_rational(report.frame_bound),
+        "frame_sum": str(report.frame_sum),
+        "frame_bound": str(report.frame_bound),
         "design_strength": report.design_strength,
         "optimal_antipodal": report.optimal_antipodal,
     }

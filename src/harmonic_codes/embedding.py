@@ -69,7 +69,7 @@ class EmbeddedCode:
         """
         counts = Counter({Fraction(1): self.n, Fraction(-1): self.n})
         for t, c in spectrum(self.reps).items():
-            v = self.kernel(t)
+            v = self.kernel.evaluate(t)
             counts[v] += 2 * c
             counts[-v] += 2 * c
         return counts
@@ -79,7 +79,7 @@ class EmbeddedCode:
         """The exact 2N x 2N Gram, through one map from integer dot products to g2."""
         pts, norm = self.reps.points, self.reps.norm_sq_scaled
         dots = [[scaled_dot(p, q) for q in pts] for p in pts]
-        plus = {s: self.kernel(Fraction(s, norm)) for s in set().union(*dots)}
+        plus = {s: self.kernel.evaluate(Fraction(s, norm)) for s in set().union(*dots)}
         minus = {s: -v for s, v in plus.items()}
         top = tuple(tuple([plus[s] for s in row] + [minus[s] for s in row]) for row in dots)
         bottom = tuple(tuple([minus[s] for s in row] + [plus[s] for s in row]) for row in dots)

@@ -1,8 +1,10 @@
 """Spherical-harmonic dimensions and normalized Gegenbauer polynomials.
 
 The polynomials here are the ultraspherical family C_k^lambda with
-lambda = (d-1)/2 for points on S^d, rescaled so that the value at t = 1
-is exactly 1.  Under this normalization the degree-k polynomial gives the
+lambda = (d-1)/2 for points on S^d, normalized so that the value at t = 1
+is exactly 1 (the Chebyshev T_k on the circle, d = 1).  They come from one
+three-term recurrence that keeps this normalization at every step, for
+every d >= 1.  Under this normalization the degree-k polynomial gives the
 inner product of degree-k reproducing-kernel elements attached to two
 sphere points with inner product t.
 """
@@ -63,59 +65,25 @@ class GegenbauerPoly:
             acc = acc * t + c
         return acc
 
-    def __call__(self, t: int | Rational) -> Rational:
-        return self.evaluate(t)
-
-
-def _classical_coefficients(lam: Fraction, k: int) -> list[Fraction]:
-    """Coefficient list of the classical C_k^lam via the three-term recurrence.
-
-    k C_k(t) = 2t (k-1+lam) C_{k-1}(t) - (k-2+2 lam) C_{k-2}(t),
-    seeded with C_0 = 1 and C_1 = 2 lam t.
-    """
-    prev2 = [Fraction(1)]
-    if k == 0:
-        return prev2
-    prev1 = [Fraction(0), 2 * lam]
-    for j in range(2, k + 1):
-        shifted = [Fraction(0)] + prev1
-        cur = [2 * (j - 1 + lam) * c for c in shifted]
-        for i, c in enumerate(prev2):
-            cur[i] -= (j - 2 + 2 * lam) * c
-        cur = [c / j for c in cur]
-        prev2, prev1 = prev1, cur
-    return prev1
-
-
-def _chebyshev_coefficients(k: int) -> list[Fraction]:
-    """Chebyshev T_k coefficients, the lam -> 0 limit of the normalized family."""
-    prev2 = [Fraction(1)]
-    if k == 0:
-        return prev2
-    prev1 = [Fraction(0), Fraction(1)]
-    for _ in range(2, k + 1):
-        cur = [Fraction(0)] + [2 * c for c in prev1]
-        for i, c in enumerate(prev2):
-            cur[i] -= c
-        prev2, prev1 = prev1, cur
-    return prev1
-
 
 def gegenbauer(d: int, k: int) -> GegenbauerPoly:
     """Normalized degree-k Gegenbauer polynomial for S^d.
 
-    For d >= 2 this runs the classical recurrence with lam = (d-1)/2 and
-    divides by the value at 1.  For d = 1 the family degenerates to the
-    Chebyshev polynomials T_k, which are already 1 at t = 1.
+    Runs the normalized family's own three-term recurrence
+    (j+d-2) P_j = (2j+d-3) t P_{j-1} - (j-1) P_{j-2} from P_0 = 1 and
+    P_1 = t.  Every P_j is 1 at t = 1 by construction, the divisor j+d-2
+    is at least 1 for j >= 2, and at d = 1 the recurrence is Chebyshev's
+    T_j = 2t T_{j-1} - T_{j-2}.
     """
     if d < 1:
         raise DomainError("sphere dimension must be >= 1")
     if k < 0:
         raise DomainError("degree must be >= 0")
-    if d == 1:
-        coeffs = _chebyshev_coefficients(k)
-    else:
-        coeffs = _classical_coefficients(Fraction(d - 1, 2), k)
-        at_one = sum(coeffs)
-        coeffs = [c / at_one for c in coeffs]
-    return GegenbauerPoly(d=d, k=k, coeffs=tuple(coeffs))
+    family = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for j in range(2, k + 1):
+        prev2, prev1 = family[-2], family[-1]
+        cur = [Fraction(0)] + [(2 * j + d - 3) * c for c in prev1]
+        for i, c in enumerate(prev2):
+            cur[i] -= (j - 1) * c
+        family.append([c / (j + d - 2) for c in cur])
+    return GegenbauerPoly(d=d, k=k, coeffs=tuple(family[k]))

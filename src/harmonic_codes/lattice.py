@@ -153,6 +153,8 @@ def code_from_text(text: str) -> LatticeCode:
         ambient_dim, n, scale, norm_sq = (int(tok) for tok in header)
     except ValueError as exc:
         raise StructureError(f"bad header {lines[0]!r}") from exc
+    if n < 0:
+        raise StructureError(f"point count {n} is negative")
     body = [line for line in lines[1:] if line.strip()]
     if len(body) != n:
         raise StructureError(f"expected {n} points, found {len(body)}")

@@ -17,6 +17,18 @@ NON_ANTIPODAL_BASIS = """\
 0 0 -1
 """
 
+SIGNED_PERMUTATIONS_OF_1_2 = """\
+2 8 1 5
+1 2
+1 -2
+-1 2
+-1 -2
+2 1
+2 -1
+-2 1
+-2 -1
+"""
+
 
 @pytest.fixture(scope="module")
 def roots_file(tmp_path_factory):
@@ -58,6 +70,8 @@ def test_dim(capsys):
 def test_gegenbauer_coefficients(capsys):
     assert main(["gegenbauer", "-d", "7", "-k", "2"]) == 0
     assert capsys.readouterr().out == "-1/7 0 8/7\n"
+    assert main(["gegenbauer", "-d", "1", "-k", "12"]) == 0
+    assert capsys.readouterr().out == "1 0 -72 0 840 0 -3584 0 6912 0 -6144 0 2048\n"
 
 
 def test_gegenbauer_evaluate(capsys):
@@ -141,6 +155,22 @@ def test_design_t_max_five(roots_file, capsys):
     assert lines[0] == "design_strength 3"
     assert lines[4] == "residual k=4 149760/343"
     assert lines[5] == "residual k=5 0"
+
+
+def test_design_on_the_circle(capsys, monkeypatch):
+    # The signed permutations of (1, 2): the image lies on S^1, so every
+    # residual runs the d = 1 (Chebyshev) member of the family.
+    monkeypatch.setattr("sys.stdin", io.StringIO(SIGNED_PERMUTATIONS_OF_1_2))
+    assert main(["design", "--in", "-", "--t-max", "6"]) == 0
+    assert capsys.readouterr().out == (
+        "design_strength 1\n"
+        "residual k=1 0\n"
+        "residual k=2 3136/625\n"
+        "residual k=3 0\n"
+        "residual k=4 17774656/390625\n"
+        "residual k=5 0\n"
+        "residual k=6 8840512576/244140625\n"
+    )
 
 
 def test_scan_single_degree(tmp_path, capsys):

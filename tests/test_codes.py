@@ -16,7 +16,6 @@ from harmonic_codes.codes import (
     certify,
     design_strength,
     format_bound,
-    format_rational,
     frame_bound_check,
     gram_from_embedded,
     gram_from_lattice,
@@ -381,8 +380,6 @@ def test_certify_non_optimal_code():
 
 
 def test_format_helpers():
-    assert format_rational(Fraction(-1, 7)) == "-1/7"
-    assert format_rational(Fraction(3)) == "3"
     assert format_bound(Fraction(1, 7), Fraction(1, 49)) == "1/7"
     assert format_bound(None, Fraction(25, 1152)) == "sqrt(25/1152)"
 

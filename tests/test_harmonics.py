@@ -78,9 +78,26 @@ def test_degree3_sphere7_value():
     assert p.evaluate(Fraction(1, 2)) == Fraction(-1, 28)
 
 
+def _explicit_chebyshev(k):
+    """Independent oracle for the circle: the explicit sum
+    T_k(t) = (k/2) sum_m (-1)^m (k-m-1)! / (m! (k-2m)!) (2t)^(k-2m), k >= 1."""
+    if k == 0:
+        return [Fraction(1)]
+    coeffs = [Fraction(0)] * (k + 1)
+    for m in range(k // 2 + 1):
+        power = k - 2 * m
+        coeffs[power] = (
+            Fraction(k, 2)
+            * (-1) ** m
+            * Fraction(_factorial(k - m - 1), _factorial(m) * _factorial(power))
+            * 2**power
+        )
+    return coeffs
+
+
 def test_recurrence_matches_series_oracle():
-    for d in (2, 3, 7, 8, 23, 30):
-        for k in range(0, 13):
+    for d in range(2, 31):
+        for k in range(0, 17):
             assert list(gegenbauer(d, k).coeffs) == _series_gegenbauer(d, k), (d, k)
 
 
@@ -126,7 +143,8 @@ def test_degree2_closed_form():
 def test_circle_family_is_chebyshev():
     assert gegenbauer(1, 2).coeffs == (Fraction(-1), Fraction(0), Fraction(2))
     assert gegenbauer(1, 3).coeffs == (Fraction(0), Fraction(-3), Fraction(0), Fraction(4))
-    for k in range(0, 9):
+    for k in range(0, 17):
+        assert list(gegenbauer(1, k).coeffs) == _explicit_chebyshev(k), k
         assert gegenbauer(1, k).evaluate(1) == 1
 
 

@@ -156,6 +156,8 @@ def test_bad_files_rejected():
         code_from_text("2 1 1 1\n1 x\n")  # non-integer
     with pytest.raises(StructureError):
         code_from_text("2 1 1 1\n1 1\n")  # wrong norm
+    with pytest.raises(StructureError, match="point count -1 is negative"):
+        code_from_text("2 -1 1 1\n")
 
 
 def test_read_from_stream(e8_roots):
