@@ -16,7 +16,8 @@ from typing import Iterable, List, Mapping, TextIO
 
 from .codes import QuadraticBound, format_bound, quadratic_bound
 from .exact import DomainError, Rational, parse_rational
-from .harmonics import gegenbauer, harmonic_dimension
+# gegenbauer stays importable here: bench/run.py shims it by name.
+from .harmonics import gegenbauer, gegenbauer_family, harmonic_dimension
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,21 @@ def constant_modulus_scan(
 ) -> List[ScanResult]:
     """Evaluate g_k^d on every value for each k and report modulus constancy."""
     vals = _checked_values(values)
+    ks = list(k_range)
+    if not ks:
+        return []
+    family = gegenbauer_family(d, max(ks))
     results = []
-    for k in k_range:
-        poly = gegenbauer(d, k)
-        image = {v: poly.evaluate(v) for v in vals}
+    for k in ks:
+        harmonic_dim = harmonic_dimension(d, k)  # rejects k < 0 before family[k] can wrap
+        image = {v: family[k].evaluate(v) for v in vals}
         moduli = {abs(g) for g in image.values()}
         constant = len(moduli) == 1
         results.append(
             ScanResult(
                 d=d,
                 k=k,
-                harmonic_dim=harmonic_dimension(d, k),
+                harmonic_dim=harmonic_dim,
                 image_values=image,
                 constant_modulus=constant,
                 modulus=next(iter(moduli)) if constant else None,
@@ -80,11 +85,8 @@ def constant_modulus_scan(
     return results
 
 
-def candidate_parameters(
-    values: Iterable[int | Rational], d: int, k: int, n_points: int
-) -> CandidateSummary:
-    """Parameters the embedded code over this spectrum would have, plus the bound."""
-    (scan,) = constant_modulus_scan(values, d, k_range=[k])
+def candidate_from_scan(scan: ScanResult, n_points: int) -> CandidateSummary:
+    """Parameters the embedded code over a scanned spectrum would have, plus the bound."""
     coherence = max(abs(g) for g in scan.image_values.values())
     return CandidateSummary(
         harmonic_dim=scan.harmonic_dim,
@@ -93,6 +95,14 @@ def candidate_parameters(
         bound=quadratic_bound(n_points, scan.harmonic_dim),
         constant_modulus=scan.constant_modulus,
     )
+
+
+def candidate_parameters(
+    values: Iterable[int | Rational], d: int, k: int, n_points: int
+) -> CandidateSummary:
+    """candidate_from_scan of the one-degree scan of these values."""
+    (scan,) = constant_modulus_scan(values, d, k_range=[k])
+    return candidate_from_scan(scan, n_points)
 
 
 # --- spectrum file and report rendering -------------------------------------

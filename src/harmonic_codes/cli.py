@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 from . import __version__
 from .analyzer import (
-    candidate_parameters,
+    candidate_from_scan,
     candidate_to_json,
     constant_modulus_scan,
     read_spectrum_file,
@@ -149,11 +149,7 @@ def cmd_scan(args) -> int:
     for result in constant_modulus_scan(values, args.d, ks):
         lines.append(scan_to_json(result))
         if args.n_points is not None:
-            lines.append(
-                candidate_to_json(
-                    candidate_parameters(values, args.d, result.k, args.n_points)
-                )
-            )
+            lines.append(candidate_to_json(candidate_from_scan(result, args.n_points)))
     with _text_out(args.out) as out:
         out.write("".join(lines))
     return 0

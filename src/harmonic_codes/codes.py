@@ -18,39 +18,33 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .exact import DomainError, Rational, StructureError
+from .exact import DomainError, Rational, StructureError, SymMatrix
 from .embedding import EmbeddedCode
-from .harmonics import gegenbauer
+# gegenbauer stays importable here: bench/run.py shims it by name.
+from .harmonics import gegenbauer, gegenbauer_family
 from .lattice import LatticeCode, Spectrum, scaled_dot
 
 
 @dataclass(frozen=True)
-class GramView:
+class GramView(SymMatrix):
     """Symmetric unit-diagonal Rational matrix, optionally with an antipode map.
 
     antipode[i] = j means points i and j are formal negatives of each
     other; such pairs are excluded from coherence.
     """
 
-    entries: tuple[tuple[Rational, ...], ...]
     antipode: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
+        super().__post_init__()
         for i, row in enumerate(self.entries):
-            if len(row) != n:
-                raise StructureError("gram matrix is not square")
             if row[i] != 1:
                 raise StructureError(f"diagonal entry {i} is not 1")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise StructureError(f"gram entries ({i},{j}) and ({j},{i}) differ")
         if self.antipode is not None:
-            if len(self.antipode) != n:
+            if len(self.antipode) != self.n:
                 raise StructureError("antipode map has wrong length")
             for i, j in enumerate(self.antipode):
-                if j == i or not 0 <= j < n or self.antipode[j] != i:
+                if j == i or not 0 <= j < self.n or self.antipode[j] != i:
                     raise StructureError(f"antipode map is not a fixed-point-free involution at {i}")
                 if self.entries[i][j] != -1:
                     raise StructureError(f"antipodal pair ({i},{j}) has gram entry != -1")
@@ -216,12 +210,10 @@ def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:
     """
     if t_max < 1:
         raise DomainError("t_max must be at least 1")
-    residuals = []
-    for k in range(1, t_max + 1):
-        poly = gegenbauer(d_sphere, k)
-        residuals.append(
-            sum((c * poly.evaluate(v) for v, c in g.histogram.items()), Fraction(0))
-        )
+    residuals = [
+        sum((c * poly.evaluate(v) for v, c in g.histogram.items()), Fraction(0))
+        for poly in gegenbauer_family(d_sphere, t_max)[1:]
+    ]
     strength = 0
     for r in residuals:
         if r != 0:

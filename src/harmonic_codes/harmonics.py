@@ -54,7 +54,7 @@ class GegenbauerPoly:
         for j, c in enumerate(self.coeffs):
             if (j - self.k) % 2 != 0 and c != 0:
                 raise DomainError(f"parity violation at power {j}")
-        if self.evaluate(Fraction(1)) != 1:
+        if sum(self.coeffs) != 1:  # the value at t = 1
             raise DomainError("polynomial is not normalized at t = 1")
 
     def evaluate(self, t: int | Rational) -> Rational:
@@ -66,24 +66,32 @@ class GegenbauerPoly:
         return acc
 
 
-def gegenbauer(d: int, k: int) -> GegenbauerPoly:
-    """Normalized degree-k Gegenbauer polynomial for S^d.
+def gegenbauer_family(d: int, k_max: int) -> tuple[GegenbauerPoly, ...]:
+    """Normalized Gegenbauer polynomials P_0, ..., P_k_max for S^d, in one run.
 
     Runs the normalized family's own three-term recurrence
     (j+d-2) P_j = (2j+d-3) t P_{j-1} - (j-1) P_{j-2} from P_0 = 1 and
     P_1 = t.  Every P_j is 1 at t = 1 by construction, the divisor j+d-2
     is at least 1 for j >= 2, and at d = 1 the recurrence is Chebyshev's
-    T_j = 2t T_{j-1} - T_{j-2}.
+    T_j = 2t T_{j-1} - T_{j-2}.  Member k of the result has degree k.
     """
     if d < 1:
         raise DomainError("sphere dimension must be >= 1")
-    if k < 0:
+    if k_max < 0:
         raise DomainError("degree must be >= 0")
     family = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    for j in range(2, k + 1):
+    for j in range(2, k_max + 1):
         prev2, prev1 = family[-2], family[-1]
         cur = [Fraction(0)] + [(2 * j + d - 3) * c for c in prev1]
         for i, c in enumerate(prev2):
             cur[i] -= (j - 1) * c
         family.append([c / (j + d - 2) for c in cur])
-    return GegenbauerPoly(d=d, k=k, coeffs=tuple(family[k]))
+    return tuple(
+        GegenbauerPoly(d=d, k=k, coeffs=tuple(coeffs))
+        for k, coeffs in enumerate(family[: k_max + 1])
+    )
+
+
+def gegenbauer(d: int, k: int) -> GegenbauerPoly:
+    """Normalized degree-k Gegenbauer polynomial for S^d: the last member of its family."""
+    return gegenbauer_family(d, k)[-1]

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_codes.analyzer import (
+    candidate_from_scan,
     candidate_parameters,
     candidate_to_dict,
     candidate_to_json,
@@ -15,7 +18,7 @@ from harmonic_codes.analyzer import (
     scan_to_json,
 )
 from harmonic_codes.exact import DomainError, StructureError
-from harmonic_codes.harmonics import gegenbauer
+from harmonic_codes.harmonics import gegenbauer, harmonic_dimension
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -57,6 +60,52 @@ def test_scan_k_range_runs_each_degree():
     results = constant_modulus_scan([0, HALF, -HALF], 7, range(1, 5))
     assert [r.k for r in results] == [1, 2, 3, 4]
     assert [r.constant_modulus for r in results] == [False, True, False, False]
+
+
+def test_scan_negative_degree_and_empty_range():
+    # k = -1 must raise, never wrap to the last member of the family
+    with pytest.raises(DomainError, match="degree must be >= 0"):
+        constant_modulus_scan([0], 7, [-1, 3])
+    with pytest.raises(DomainError, match="degree must be >= 0"):
+        constant_modulus_scan([0], 7, [3, -1])
+    assert constant_modulus_scan([0], 7, []) == []
+    assert constant_modulus_scan([0], 0, []) == []
+
+
+def test_scan_accepts_a_one_shot_iterator():
+    results = constant_modulus_scan([0, HALF, -HALF], 7, iter([2, 1, 2]))
+    assert [r.k for r in results] == [2, 1, 2]
+    assert results[0] == results[2]
+
+
+_spectra = st.lists(
+    st.fractions(min_value=-1, max_value=1, max_denominator=12).filter(lambda v: abs(v) < 1),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=_spectra,
+    d=st.integers(1, 30),
+    a=st.integers(1, 12),
+    width=st.integers(0, 11),
+    half_n=st.integers(2, 200),
+)
+def test_range_scan_and_candidates_match_per_degree_path(values, d, a, width, half_n):
+    # witnesses: the one-degree scan, the degree-k polynomial and candidate_parameters
+    b = min(a + width, 12)
+    n_points = 2 * half_n
+    results = constant_modulus_scan(values, d, range(a, b + 1))
+    assert [r.k for r in results] == list(range(a, b + 1))
+    for r in results:
+        assert [r] == constant_modulus_scan(values, d, [r.k])
+        poly = gegenbauer(d, r.k)
+        assert r.image_values == {v: poly.evaluate(v) for v in values}
+        assert r.harmonic_dim == harmonic_dimension(d, r.k)
+        assert candidate_from_scan(r, n_points) == candidate_parameters(values, d, r.k, n_points)
 
 
 def test_scan_rejects_out_of_range_value():

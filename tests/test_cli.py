@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -5,6 +6,7 @@ import pytest
 
 from harmonic_codes.cli import main
 from harmonic_codes.embedding import gram_from_text, gram_to_text
+from harmonic_codes.harmonics import gegenbauer_family
 from harmonic_codes.lattice import code_to_text, generate_e8_roots
 
 NON_ANTIPODAL_BASIS = """\
@@ -28,6 +30,16 @@ SIGNED_PERMUTATIONS_OF_1_2 = """\
 -2 1
 -2 -1
 """
+
+# sha256 of stdout for a k = 1..12 scan of the E8 spectrum with candidates, and
+# for E8's design residuals up to t = 12: any change to their bytes fails
+PINNED_SCAN_SHA256 = "4355d43f766a1597db922c2807f802eb56dc91b83a52e954997db8596dca2486"
+E8_DESIGN_T12_SHA256 = "296318f5464fb4e209b00925d74fb1cde7a5f571e7f57d83f3937e75fb6f9bce"
+PINNED_SCAN = ["scan", "--in", "-", "-d", "7", "-k", "1", "--k-max", "12", "--n-points", "240"]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +169,14 @@ def test_design_t_max_five(roots_file, capsys):
     assert lines[5] == "residual k=5 0"
 
 
+def test_design_t_max_twelve_bytes_are_pinned(roots_file, capsys):
+    assert main(["design", "--in", roots_file, "--t-max", "12"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "design_strength 3"
+    assert len(out.splitlines()) == 13
+    assert _sha256(out) == E8_DESIGN_T12_SHA256
+
+
 def test_design_on_the_circle(capsys, monkeypatch):
     # The signed permutations of (1, 2): the image lies on S^1, so every
     # residual runs the d = 1 (Chebyshev) member of the family.
@@ -201,6 +221,31 @@ def test_scan_degree_range_with_candidates(tmp_path, capsys):
         "bound": "1/7",
         "constant_modulus": True,
     }
+
+
+def test_scan_bytes_are_pinned(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n1/2\n-1/2\n"))
+    assert main(PINNED_SCAN) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 24
+    assert _sha256(out) == PINNED_SCAN_SHA256
+
+
+def test_scan_and_design_run_one_recurrence_each(roots_file, capsys, monkeypatch):
+    # the k = 1..12 sweep with its candidates, and the t = 12 design fold,
+    # each build one Gegenbauer family
+    calls = []
+
+    def counted(d, k_max):
+        calls.append((d, k_max))
+        return gegenbauer_family(d, k_max)
+
+    monkeypatch.setattr("harmonic_codes.analyzer.gegenbauer_family", counted)
+    monkeypatch.setattr("harmonic_codes.codes.gegenbauer_family", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n1/2\n-1/2\n"))
+    assert main(PINNED_SCAN) == 0
+    assert main(["design", "--in", roots_file, "--t-max", "12"]) == 0
+    assert calls == [(7, 12), (34, 12)]
 
 
 def test_scan_leech_spectrum(tmp_path, capsys):

@@ -104,7 +104,8 @@ def test_gram_view_validation():
         GramView(entries=ok, antipode=(0, 1))
     with pytest.raises(StructureError):
         GramView(entries=((one, zero), (zero, one)), antipode=(1, 0))
-    GramView(entries=ok, antipode=(1, 0))
+    # a Gram view is a symmetric matrix: squareness and symmetry are SymMatrix's checks
+    assert isinstance(GramView(entries=ok, antipode=(1, 0)), SymMatrix)
 
 
 def test_gram_from_lattice_e8(e8_roots):

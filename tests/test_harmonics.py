@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from harmonic_codes.exact import DomainError
-from harmonic_codes.harmonics import GegenbauerPoly, gegenbauer, harmonic_dimension
+from harmonic_codes.harmonics import (
+    GegenbauerPoly,
+    gegenbauer,
+    gegenbauer_family,
+    harmonic_dimension,
+)
 
 
 def _rising(x, m):
@@ -96,9 +101,25 @@ def _explicit_chebyshev(k):
 
 
 def test_recurrence_matches_series_oracle():
+    # every member of one family run equals the series and the degree-k build
     for d in range(2, 31):
-        for k in range(0, 17):
-            assert list(gegenbauer(d, k).coeffs) == _series_gegenbauer(d, k), (d, k)
+        family = gegenbauer_family(d, 16)
+        assert len(family) == 17
+        for k, poly in enumerate(family):
+            assert (poly.d, poly.k) == (d, k)
+            assert list(poly.coeffs) == _series_gegenbauer(d, k), (d, k)
+            assert poly == gegenbauer(d, k), (d, k)
+
+
+def test_family_degree_range():
+    for d in (1, 2, 7, 30):
+        with pytest.raises(DomainError):
+            gegenbauer_family(d, -1)
+        (constant,) = gegenbauer_family(d, 0)
+        assert constant == GegenbauerPoly(d=d, k=0, coeffs=(Fraction(1),))
+        assert gegenbauer(d, 0) == constant
+    with pytest.raises(DomainError):
+        gegenbauer_family(0, 3)
 
 
 def test_evaluate_paper_values():
@@ -143,9 +164,12 @@ def test_degree2_closed_form():
 def test_circle_family_is_chebyshev():
     assert gegenbauer(1, 2).coeffs == (Fraction(-1), Fraction(0), Fraction(2))
     assert gegenbauer(1, 3).coeffs == (Fraction(0), Fraction(-3), Fraction(0), Fraction(4))
-    for k in range(0, 17):
-        assert list(gegenbauer(1, k).coeffs) == _explicit_chebyshev(k), k
-        assert gegenbauer(1, k).evaluate(1) == 1
+    family = gegenbauer_family(1, 16)
+    assert len(family) == 17
+    for k, poly in enumerate(family):
+        assert list(poly.coeffs) == _explicit_chebyshev(k), k
+        assert poly.evaluate(1) == 1
+        assert poly == gegenbauer(1, k), k
 
 
 def test_poly_validation():
