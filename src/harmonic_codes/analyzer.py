@@ -138,7 +138,7 @@ def candidate_to_dict(summary: CandidateSummary) -> dict:
         "ambient_dim": summary.harmonic_dim,
         "n_points": summary.n_points,
         "coherence": str(summary.coherence),
-        "bound": format_bound(summary.bound.value, summary.bound.radicand),
+        "bound": format_bound(summary.bound),
         "constant_modulus": summary.constant_modulus,
     }
 

@@ -86,7 +86,6 @@ class QuadraticBound:
     """
 
     radicand: Rational
-    exact: bool
     value: Rational | None
 
 
@@ -97,18 +96,25 @@ class DesignCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class CodeReport:
-    """Certified parameters of an embedded antipodal code."""
+    """Certified parameters of an embedded antipodal code, with its folds' results."""
 
     ambient_dim: int
     n_points: int
     coherence_a: Rational
     spectrum: Spectrum
-    lower_bound_a: Rational | None
-    bound_radicand: Rational
-    frame_sum: Rational
-    frame_bound: Rational
-    design_strength: int
-    optimal_antipodal: bool
+    bound: QuadraticBound
+    frame: FrameCheck
+    design: DesignCheck
+
+    @property
+    def optimal_antipodal(self) -> bool:
+        """Coherence meets the quadratic bound: optimal among antipodal codes."""
+        return self.coherence_a * self.coherence_a == self.bound.radicand
+
+    @property
+    def passed(self) -> bool:
+        """The exit verdict: optimal, and the frame inequality holds."""
+        return self.optimal_antipodal and self.frame.satisfied
 
 
 def gram_from_embedded(code: EmbeddedCode) -> GramView:
@@ -197,8 +203,7 @@ def quadratic_bound(n: int, dim: int) -> QuadraticBound:
     if dim < 1:
         raise DomainError("dimension must be positive")
     radicand = max(Fraction(0), (Fraction(n, dim) - 2) / (n - 2))
-    root = _rational_sqrt(radicand)
-    return QuadraticBound(radicand=radicand, exact=root is not None, value=root)
+    return QuadraticBound(radicand=radicand, value=_rational_sqrt(radicand))
 
 
 def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:
@@ -231,31 +236,24 @@ def certify(code: EmbeddedCode, t_max: int = 3) -> CodeReport:
     is built.
     """
     dim = code.ambient_harmonic_dim
-    coherence = max_coherence(code)
-    bound = quadratic_bound(code.n, dim)
-    frame = frame_bound_check(code, dim)
-    design = design_strength(code, dim - 1, t_max)
     return CodeReport(
         ambient_dim=dim,
         n_points=code.n,
-        coherence_a=coherence,
+        coherence_a=max_coherence(code),
         spectrum=gram_spectrum(code),
-        lower_bound_a=bound.value,
-        bound_radicand=bound.radicand,
-        frame_sum=frame.frame_sum,
-        frame_bound=frame.frame_bound,
-        design_strength=design.strength,
-        optimal_antipodal=coherence * coherence == bound.radicand,
+        bound=quadratic_bound(code.n, dim),
+        frame=frame_bound_check(code, dim),
+        design=design_strength(code, dim - 1, t_max),
     )
 
 
 # --- report serialization ---------------------------------------------------
 
 
-def format_bound(value: Rational | None, radicand: Rational) -> str:
-    if value is not None:
-        return str(value)
-    return f"sqrt({radicand})"
+def format_bound(bound: QuadraticBound) -> str:
+    if bound.value is not None:
+        return str(bound.value)
+    return f"sqrt({bound.radicand})"
 
 
 def report_to_dict(report: CodeReport) -> dict:
@@ -266,10 +264,10 @@ def report_to_dict(report: CodeReport) -> dict:
         "spectrum": {
             str(v): report.spectrum[v] for v in sorted(report.spectrum)
         },
-        "bound": format_bound(report.lower_bound_a, report.bound_radicand),
-        "frame_sum": str(report.frame_sum),
-        "frame_bound": str(report.frame_bound),
-        "design_strength": report.design_strength,
+        "bound": format_bound(report.bound),
+        "frame_sum": str(report.frame.frame_sum),
+        "frame_bound": str(report.frame.frame_bound),
+        "design_strength": report.design.strength,
         "optimal_antipodal": report.optimal_antipodal,
     }
 

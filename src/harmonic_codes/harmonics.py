@@ -45,17 +45,20 @@ class GegenbauerPoly:
     """
 
     d: int
-    k: int
     coeffs: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != self.k + 1:
-            raise DomainError("coefficient count must be degree + 1")
-        for j, c in enumerate(self.coeffs):
-            if (j - self.k) % 2 != 0 and c != 0:
-                raise DomainError(f"parity violation at power {j}")
-        if sum(self.coeffs) != 1:  # the value at t = 1
+        # Powers k-1, k-3, ... must vanish; the rest then sum to the value at
+        # t = 1, which is 0 for an empty tuple.
+        if any(self.coeffs[-2::-2]):
+            raise DomainError("coefficient of the wrong parity for the degree")
+        if sum(self.coeffs[::-2]) != 1:
             raise DomainError("polynomial is not normalized at t = 1")
+
+    @property
+    def k(self) -> int:
+        """The degree."""
+        return len(self.coeffs) - 1
 
     def evaluate(self, t: int | Rational) -> Rational:
         """Exact Horner evaluation."""
@@ -87,8 +90,7 @@ def gegenbauer_family(d: int, k_max: int) -> tuple[GegenbauerPoly, ...]:
             cur[i] -= (j - 1) * c
         family.append([c / (j + d - 2) for c in cur])
     return tuple(
-        GegenbauerPoly(d=d, k=k, coeffs=tuple(coeffs))
-        for k, coeffs in enumerate(family[: k_max + 1])
+        GegenbauerPoly(d=d, coeffs=tuple(coeffs)) for coeffs in family[: k_max + 1]
     )
 
 

@@ -168,7 +168,6 @@ def test_candidate_wider_spectrum():
     assert summary.coherence == Fraction(5, 23)
     assert not summary.constant_modulus
     assert summary.bound.radicand == Fraction(7537, 2260417)
-    assert not summary.bound.exact
     assert summary.bound.value is None
 
 

@@ -1,13 +1,15 @@
 import hashlib
 import io
 import json
+from itertools import product
 
 import pytest
 
 from harmonic_codes.cli import main
-from harmonic_codes.embedding import gram_from_text, gram_to_text
+from harmonic_codes.codes import certify
+from harmonic_codes.embedding import build_code, gram_from_text, gram_to_text
 from harmonic_codes.harmonics import gegenbauer_family
-from harmonic_codes.lattice import code_to_text, generate_e8_roots
+from harmonic_codes.lattice import LatticeCode, code_from_text, code_to_text, generate_e8_roots
 
 NON_ANTIPODAL_BASIS = """\
 3 6 1 1
@@ -36,6 +38,9 @@ SIGNED_PERMUTATIONS_OF_1_2 = """\
 PINNED_SCAN_SHA256 = "4355d43f766a1597db922c2807f802eb56dc91b83a52e954997db8596dca2486"
 E8_DESIGN_T12_SHA256 = "296318f5464fb4e209b00925d74fb1cde7a5f571e7f57d83f3937e75fb6f9bce"
 PINNED_SCAN = ["scan", "--in", "-", "-d", "7", "-k", "1", "--k-max", "12", "--n-points", "240"]
+# sha256 of the certify JSON for E8 (exit 0) and for the 3-D cross-polytope (exit 1)
+E8_CERTIFY_SHA256 = "a9484497a43dc8831745cba3bb1c7415b90cd026a8738cfdd20f68636fcb1fc6"
+CROSS_POLYTOPE_CERTIFY_SHA256 = "10372ec916ef9bf865cd1e8d5c5f693d12d364dd70978b26b3648457434e2e34"
 
 
 def _sha256(text):
@@ -149,6 +154,51 @@ def test_certify_non_optimal_exits_one(basis_file, capsys):
     assert report["coherence"] == "1/2"
     assert report["bound"] == "0"
     assert report["optimal_antipodal"] is False
+
+
+def test_certify_bytes_are_pinned(roots_file, basis_file, capsys):
+    for argv in (
+        ["certify", "--in", roots_file],
+        ["build", "--in", roots_file, "--certify"],
+        ["certify", "--in", roots_file, "--threads", "4"],
+    ):
+        assert main(argv) == 0
+        assert _sha256(capsys.readouterr().out) == E8_CERTIFY_SHA256, argv
+    assert main(["certify", "--in", basis_file]) == 1
+    assert _sha256(capsys.readouterr().out) == CROSS_POLYTOPE_CERTIFY_SHA256
+
+
+def _d4_roots_text():
+    points = tuple(p for p in product((-1, 0, 1), repeat=4) if sum(map(abs, p)) == 2)
+    return code_to_text(LatticeCode(4, 1, 2, points))
+
+
+@pytest.mark.parametrize(
+    "make_text",
+    [lambda: code_to_text(generate_e8_roots()), lambda: NON_ANTIPODAL_BASIS, _d4_roots_text],
+    ids=["e8", "cross-polytope-3", "d4-roots"],
+)
+def test_exit_code_is_the_report_verdict(make_text, capsys, monkeypatch):
+    text = make_text()
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    report = certify(build_code(code_from_text(text)))
+    assert report.passed is (main(["certify", "--in", "-"]) == 0)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 2 1 1\n1 0\n-1 0\n", "no admissible pair to take coherence over"),
+        (NON_ANTIPODAL_BASIS, "t_max must be at least 1"),
+    ],
+    ids=["two-point", "cross-polytope-3"],
+)
+def test_certify_reports_the_first_failing_fold(text, message, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["certify", "--in", "-", "--t-max", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"harmonic-codes: error: {message}\n"
 
 
 def test_design(roots_file, capsys):
@@ -304,15 +354,10 @@ def test_threads_flag_and_env(roots_file, capsys, monkeypatch):
     base = capsys.readouterr().out
     assert main(["build", "--in", roots_file, "--threads", "3"]) == 0
     assert capsys.readouterr().out == base
-    monkeypatch.setenv("HARMONIC_CODES_THREADS", "2")
-    assert main(["build", "--in", roots_file]) == 0
-    assert capsys.readouterr().out == base
-
-
-def test_bad_threads_env(roots_file, capsys, monkeypatch):
-    monkeypatch.setenv("HARMONIC_CODES_THREADS", "lots")
-    assert main(["build", "--in", roots_file]) == 1
-    assert "HARMONIC_CODES_THREADS" in capsys.readouterr().err
+    for value in ("2", "lots"):
+        monkeypatch.setenv("HARMONIC_CODES_THREADS", value)
+        assert main(["build", "--in", roots_file]) == 0
+        assert capsys.readouterr().out == base
 
 
 def test_missing_input_file_exits_two(capsys):

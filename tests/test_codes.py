@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 
 from harmonic_codes.codes import (
     CodeReport,
+    DesignCheck,
+    FrameCheck,
     GramView,
+    QuadraticBound,
     certify,
     design_strength,
     format_bound,
@@ -213,9 +216,7 @@ def test_frame_bound_soundness_random_unit_vectors():
 
 def test_quadratic_bound_e8_parameters():
     bound = quadratic_bound(240, 35)
-    assert bound.radicand == Fraction(1, 49)
-    assert bound.exact
-    assert bound.value == Fraction(1, 7)
+    assert bound == QuadraticBound(radicand=Fraction(1, 49), value=Fraction(1, 7))
 
 
 def test_quadratic_bound_orthonormal_case():
@@ -233,9 +234,7 @@ def test_quadratic_bound_clamps_at_zero():
 
 def test_quadratic_bound_irrational():
     bound = quadratic_bound(98, 24)
-    assert bound.radicand == Fraction(25, 1152)
-    assert not bound.exact
-    assert bound.value is None
+    assert bound == QuadraticBound(radicand=Fraction(25, 1152), value=None)
 
 
 def test_quadratic_bound_rejects_bad_input():
@@ -332,12 +331,11 @@ def test_certify_e8(e8_report):
         Fraction(-1, 7): 28560,
         Fraction(1, 7): 28560,
     }
-    assert e8_report.lower_bound_a == Fraction(1, 7)
-    assert e8_report.bound_radicand == Fraction(1, 49)
-    assert e8_report.frame_sum == Fraction(11520, 7)
-    assert e8_report.frame_bound == Fraction(11520, 7)
-    assert e8_report.design_strength == 3
+    assert e8_report.bound == QuadraticBound(radicand=Fraction(1, 49), value=Fraction(1, 7))
+    assert e8_report.frame == FrameCheck(Fraction(11520, 7), Fraction(11520, 7), True)
+    assert e8_report.design.strength == 3
     assert e8_report.optimal_antipodal
+    assert e8_report.passed
 
 
 def test_certify_orthonormal_plus_minus():
@@ -373,16 +371,18 @@ def test_certify_non_optimal_code():
     assert report.ambient_dim == 5
     assert report.n_points == 6
     assert report.coherence_a == Fraction(1, 2)
-    assert report.lower_bound_a == 0
+    assert report.bound.value == 0
     assert not report.optimal_antipodal
+    assert not report.passed
 
 
 # --- serialization ----------------------------------------------------------
 
 
 def test_format_helpers():
-    assert format_bound(Fraction(1, 7), Fraction(1, 49)) == "1/7"
-    assert format_bound(None, Fraction(25, 1152)) == "sqrt(25/1152)"
+    assert format_bound(QuadraticBound(Fraction(1, 49), Fraction(1, 7))) == "1/7"
+    assert format_bound(QuadraticBound(Fraction(25, 1152), None)) == "sqrt(25/1152)"
+    assert format_bound(quadratic_bound(98, 24)) == "sqrt(25/1152)"
 
 
 def test_report_dict_key_order(e8_report):
@@ -418,13 +418,11 @@ def test_report_json_irrational_bound():
         n_points=98,
         coherence_a=Fraction(1, 4),
         spectrum={Fraction(1, 4): 2},
-        lower_bound_a=None,
-        bound_radicand=Fraction(25, 1152),
-        frame_sum=Fraction(400),
-        frame_bound=Fraction(400),
-        design_strength=1,
-        optimal_antipodal=False,
+        bound=QuadraticBound(radicand=Fraction(25, 1152), value=None),
+        frame=FrameCheck(Fraction(400), Fraction(400), True),
+        design=DesignCheck(strength=1, residuals=(Fraction(0), Fraction(1))),
     )
+    assert not report.optimal_antipodal
     assert json.loads(report_to_json(report))["bound"] == "sqrt(25/1152)"
 
 
@@ -501,13 +499,12 @@ def test_histogram_folds_match_direct_scan(make, optimal, e8_roots):
     )
     report = certify(code, t_max=t_max)
     assert report.spectrum == spectrum
-    assert report.frame_sum == frame_sum
+    assert report.frame.frame_sum == frame_sum
     assert report.coherence_a == coherence
     assert report.optimal_antipodal is optimal
-    check = design_strength(code, dim - 1, t_max)
-    assert check.residuals == residuals
+    assert report.design.residuals == residuals
     strength = next((k for k, r in enumerate(residuals) if r != 0), t_max)
-    assert report.design_strength == check.strength == strength
+    assert report.design.strength == strength
 
 
 @st.composite
@@ -536,18 +533,20 @@ def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
     bound = quadratic_bound(g.n, dim)
     frame = frame_bound_check(g, dim)
     coherence = max_coherence(g)
-    assert certify(code, t_max=t_max) == CodeReport(
+    report = certify(code, t_max=t_max)
+    assert report == CodeReport(
         ambient_dim=dim,
         n_points=g.n,
         coherence_a=coherence,
         spectrum=gram_spectrum(g),
-        lower_bound_a=bound.value,
-        bound_radicand=bound.radicand,
-        frame_sum=frame.frame_sum,
-        frame_bound=frame.frame_bound,
-        design_strength=design_strength(g, dim - 1, t_max).strength,
-        optimal_antipodal=coherence * coherence == bound.radicand,
+        bound=bound,
+        frame=frame,
+        design=design_strength(g, dim - 1, t_max),
     )
+    # the verdict against the explicit-Gram witness, spelled out
+    optimal = coherence * coherence == bound.radicand
+    assert report.optimal_antipodal is optimal
+    assert report.passed is (optimal and frame.frame_sum >= frame.frame_bound)
     assert code.histogram == g.histogram
     # the closed-form float export against the same explicit Frobenius Gram
     rows = [[float(x) for x in line.split()] for line in float_code_to_text(code).splitlines()[1:]]

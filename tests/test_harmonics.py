@@ -116,7 +116,7 @@ def test_family_degree_range():
         with pytest.raises(DomainError):
             gegenbauer_family(d, -1)
         (constant,) = gegenbauer_family(d, 0)
-        assert constant == GegenbauerPoly(d=d, k=0, coeffs=(Fraction(1),))
+        assert constant == GegenbauerPoly(d=d, coeffs=(Fraction(1),))
         assert gegenbauer(d, 0) == constant
     with pytest.raises(DomainError):
         gegenbauer_family(0, 3)
@@ -174,8 +174,21 @@ def test_circle_family_is_chebyshev():
 
 def test_poly_validation():
     with pytest.raises(DomainError):
-        GegenbauerPoly(d=7, k=2, coeffs=(Fraction(0), Fraction(0), Fraction(2)))
+        GegenbauerPoly(d=7, coeffs=(Fraction(0), Fraction(0), Fraction(2)))
     with pytest.raises(DomainError):
-        GegenbauerPoly(d=7, k=2, coeffs=(Fraction(-1, 7), Fraction(1, 7), Fraction(1)))
+        GegenbauerPoly(d=7, coeffs=(Fraction(-1, 7), Fraction(1, 7), Fraction(1)))
     with pytest.raises(DomainError):
-        GegenbauerPoly(d=7, k=2, coeffs=(Fraction(1),))
+        GegenbauerPoly(d=7, coeffs=())
+    for d in (1, 7, 34):
+        for poly in gegenbauer_family(d, 12):
+            coeffs = list(poly.coeffs)
+            assert GegenbauerPoly(d=d, coeffs=tuple(coeffs)) == poly
+            # any one coefficient of the wrong parity for the degree
+            for j in range(poly.k - 1, -1, -2):
+                bad = coeffs.copy()
+                bad[j] = Fraction(1, 3)
+                with pytest.raises(DomainError):
+                    GegenbauerPoly(d=d, coeffs=tuple(bad))
+            # the value at t = 1 is off by one
+            with pytest.raises(DomainError):
+                GegenbauerPoly(d=d, coeffs=tuple(coeffs[:-1] + [coeffs[-1] + 1]))
