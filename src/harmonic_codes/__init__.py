@@ -20,7 +20,7 @@ from .codes import (
     quadratic_bound,
 )
 from .embedding import build_code, embed_degree2, flatten_coordinates, normalized_inner
-from .exact import Rational, SymMatrix, frobenius_inner, rat
+from .exact import Rational, SymMatrix, frobenius_inner
 from .harmonics import GegenbauerPoly, gegenbauer, harmonic_dimension
 from .lattice import (
     LatticeCode,
@@ -51,7 +51,6 @@ __all__ = [
     "max_coherence",
     "normalized_inner",
     "quadratic_bound",
-    "rat",
     "select_antipodal_representatives",
     "spectrum",
 ]

@@ -4,8 +4,10 @@ Every certificate here is a fold over one value histogram, of a validated
 Gram matrix or of a built code's integer representative pairs: coherence,
 the tight-frame inequality and design strength via vanishing Gegenbauer
 moment sums, next to the closed-form lower bound on coherence for antipodal
-codes.  The optimality verdict is the exact comparison of achieved
-coherence against the bound.
+codes.  Two unit vectors are antipodal exactly when their Gram value is -1,
+so coherence skips the -1 values and needs no pairing of its own.  The
+optimality verdict is the exact comparison of achieved coherence against the
+bound.
 """
 
 from __future__ import annotations
@@ -22,36 +24,18 @@ from .exact import DomainError, Rational, StructureError, SymMatrix
 from .embedding import EmbeddedCode
 # gegenbauer stays importable here: bench/run.py shims it by name.
 from .harmonics import gegenbauer, gegenbauer_family
-from .lattice import LatticeCode, Spectrum, scaled_dot
+from .lattice import Spectrum
 
 
 @dataclass(frozen=True)
 class GramView(SymMatrix):
-    """Symmetric unit-diagonal Rational matrix, optionally with an antipode map.
-
-    antipode[i] = j means points i and j are formal negatives of each
-    other; such pairs are excluded from coherence.
-    """
-
-    antipode: tuple[int, ...] | None = None
+    """Symmetric unit-diagonal Rational matrix: the Gram of a set of unit vectors."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
         for i, row in enumerate(self.entries):
             if row[i] != 1:
                 raise StructureError(f"diagonal entry {i} is not 1")
-        if self.antipode is not None:
-            if len(self.antipode) != self.n:
-                raise StructureError("antipode map has wrong length")
-            for i, j in enumerate(self.antipode):
-                if j == i or not 0 <= j < self.n or self.antipode[j] != i:
-                    raise StructureError(f"antipode map is not a fixed-point-free involution at {i}")
-                if self.entries[i][j] != -1:
-                    raise StructureError(f"antipodal pair ({i},{j}) has gram entry != -1")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
     @cached_property
     def histogram(self) -> Counter:
@@ -118,34 +102,19 @@ class CodeReport:
 
 
 def gram_from_embedded(code: EmbeddedCode) -> GramView:
-    """Validated Gram view of an embedded code, pairing each point with its sign flip."""
-    return GramView(entries=code.gram, antipode=code.antipode)
+    """Validated Gram view of an embedded code."""
+    return GramView(entries=code.gram)
 
 
-def gram_from_lattice(code: LatticeCode) -> GramView:
-    """Exact normalized Gram of an integer code, with pairing when antipodal."""
-    pts = code.points
-    dots = [[scaled_dot(p, q) for q in pts] for p in pts]
-    values = {s: Fraction(s, code.norm_sq_scaled) for s in set().union(*dots)}
-    entries = tuple(tuple(values[s] for s in row) for row in dots)
-    antipode = None
-    if code.is_antipodal():
-        index = {p: i for i, p in enumerate(pts)}
-        antipode = tuple(index[tuple(-c for c in p)] for p in pts)
-    return GramView(entries=entries, antipode=antipode)
-
-
-# The folds read g.n, g.histogram and g.antipode of a validated GramView or of
-# a built EmbeddedCode, whose diagonal and antipodal entries are 1 and -1.
+# The folds read g.n and g.histogram of a validated GramView or of a built
+# EmbeddedCode.
 Histogrammed = GramView | EmbeddedCode
 
 
-def _off_diagonal(g: Histogrammed, include_antipodal: bool = True) -> Counter:
-    """Histogram without the n diagonal 1s and, optionally, the n antipodal -1s."""
+def _off_diagonal(g: Histogrammed) -> Counter:
+    """Histogram without the n diagonal 1s."""
     counts = g.histogram.copy()
     counts[Fraction(1)] -= g.n
-    if not include_antipodal and g.antipode is not None:
-        counts[Fraction(-1)] -= g.n
     return +counts
 
 
@@ -155,9 +124,15 @@ def gram_spectrum(g: Histogrammed) -> Spectrum:
     return {v: counts[v] for v in sorted(counts)}
 
 
-def max_coherence(g: Histogrammed, include_antipodal: bool = False) -> Rational:
-    """Largest |gram entry| over distinct pairs, skipping antipodal ones."""
-    counts = _off_diagonal(g, include_antipodal)
+def max_coherence(g: Histogrammed) -> Rational:
+    """Largest |gram value| over distinct pairs other than the antipodal -1s.
+
+    In an antipodal code, a -1 between two points that are not partners makes
+    one equal to the other's partner, so some pair carries +1 and the
+    coherence is 1 either way.
+    """
+    counts = _off_diagonal(g)
+    counts.pop(Fraction(-1), None)
     if not counts:
         raise DomainError("no admissible pair to take coherence over")
     return max(abs(v) for v in counts)

@@ -33,7 +33,7 @@ class EmbeddedCode:
     Point i < N is the image of reps.points[i] and point i + N is its sign
     flip, so the 2N x 2N Gram is [[B, -B], [-B, B]] with B[i][j] the kernel
     value g2 of the i-th and j-th representatives' inner product.  Certificates
-    read only n, antipode and histogram; the exact gram is built on first access.
+    read only n and histogram; the exact gram is built on first access.
     """
 
     reps: LatticeCode
@@ -48,11 +48,6 @@ class EmbeddedCode:
     @property
     def ambient_harmonic_dim(self) -> int:
         return harmonic_dimension(self.reps.ambient_dim - 1, 2)
-
-    @cached_property
-    def antipode(self) -> tuple[int, ...]:
-        half = len(self.reps)
-        return tuple(range(half, self.n)) + tuple(range(half))
 
     @cached_property
     def kernel(self) -> GegenbauerPoly:

@@ -26,13 +26,6 @@ class DomainError(ValueError):
     """A value lies outside the mathematically admissible domain."""
 
 
-def rat(num: int, den: int = 1) -> Rational:
-    """Canonical rational num/den; the sign ends up on the numerator."""
-    if den == 0:
-        raise DomainError("zero denominator")
-    return Fraction(num, den)
-
-
 def parse_rational(token: str) -> Rational:
     """A p/q (or plain decimal) token as a Rational; malformed tokens are a DomainError.
 
@@ -63,17 +56,17 @@ class SymMatrix:
                     raise StructureError(f"entries ({i},{j}) and ({j},{i}) differ")
 
     @property
-    def order(self) -> int:
+    def n(self) -> int:
         return len(self.entries)
 
     def trace(self) -> Rational:
-        return sum((self.entries[i][i] for i in range(self.order)), Fraction(0))
+        return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
 
 
 def frobenius_inner(a: SymMatrix, b: SymMatrix) -> Rational:
     """Entrywise product sum over the full square, exact."""
-    if a.order != b.order:
-        raise DimensionError(f"orders {a.order} and {b.order} differ")
+    if a.n != b.n:
+        raise DimensionError(f"orders {a.n} and {b.n} differ")
     total = Fraction(0)
     for row_a, row_b in zip(a.entries, b.entries):
         for x, y in zip(row_a, row_b):

@@ -21,6 +21,16 @@ NON_ANTIPODAL_BASIS = """\
 0 0 -1
 """
 
+# The square on the circle: the one built code whose non-antipodal pairs carry
+# -1 (g2(0) = -1 at m = 2), next to +1 from the repeated image
+SQUARE = """\
+2 4 1 1
+1 0
+0 1
+-1 0
+0 -1
+"""
+
 SIGNED_PERMUTATIONS_OF_1_2 = """\
 2 8 1 5
 1 2
@@ -38,9 +48,11 @@ SIGNED_PERMUTATIONS_OF_1_2 = """\
 PINNED_SCAN_SHA256 = "4355d43f766a1597db922c2807f802eb56dc91b83a52e954997db8596dca2486"
 E8_DESIGN_T12_SHA256 = "296318f5464fb4e209b00925d74fb1cde7a5f571e7f57d83f3937e75fb6f9bce"
 PINNED_SCAN = ["scan", "--in", "-", "-d", "7", "-k", "1", "--k-max", "12", "--n-points", "240"]
-# sha256 of the certify JSON for E8 (exit 0) and for the 3-D cross-polytope (exit 1)
+# sha256 of the certify JSON for E8 (exit 0), and for the 3-D cross-polytope and
+# the square (exit 1)
 E8_CERTIFY_SHA256 = "a9484497a43dc8831745cba3bb1c7415b90cd026a8738cfdd20f68636fcb1fc6"
 CROSS_POLYTOPE_CERTIFY_SHA256 = "10372ec916ef9bf865cd1e8d5c5f693d12d364dd70978b26b3648457434e2e34"
+SQUARE_CERTIFY_SHA256 = "a9b9554a0216afc5f087ea3d93c5e413c16abb70ce66107729d9266143067543"
 
 
 def _sha256(text):
@@ -156,7 +168,7 @@ def test_certify_non_optimal_exits_one(basis_file, capsys):
     assert report["optimal_antipodal"] is False
 
 
-def test_certify_bytes_are_pinned(roots_file, basis_file, capsys):
+def test_certify_bytes_are_pinned(roots_file, basis_file, capsys, monkeypatch):
     for argv in (
         ["certify", "--in", roots_file],
         ["build", "--in", roots_file, "--certify"],
@@ -166,6 +178,12 @@ def test_certify_bytes_are_pinned(roots_file, basis_file, capsys):
         assert _sha256(capsys.readouterr().out) == E8_CERTIFY_SHA256, argv
     assert main(["certify", "--in", basis_file]) == 1
     assert _sha256(capsys.readouterr().out) == CROSS_POLYTOPE_CERTIFY_SHA256
+    monkeypatch.setattr("sys.stdin", io.StringIO(SQUARE))
+    assert main(["certify", "--in", "-"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["coherence"] == "1"
+    assert json.loads(out)["spectrum"] == {"-1": 8, "1": 4}
+    assert _sha256(out) == SQUARE_CERTIFY_SHA256
 
 
 def _d4_roots_text():

@@ -21,7 +21,6 @@ from harmonic_codes.codes import (
     format_bound,
     frame_bound_check,
     gram_from_embedded,
-    gram_from_lattice,
     gram_spectrum,
     max_coherence,
     quadratic_bound,
@@ -62,11 +61,22 @@ def _unit_vector(rng, m):
     return v
 
 
-def _gram_of_vectors(vectors, antipode=None):
+def _gram_of_vectors(vectors):
     entries = tuple(
         tuple(sum(a * b for a, b in zip(p, q)) for q in vectors) for p in vectors
     )
-    return GramView(entries=entries, antipode=antipode)
+    return GramView(entries=entries)
+
+
+def _lattice_gram(code):
+    """The normalized Gram of an integer code: Fraction(p.q, norm) for every pair."""
+    pts = code.points
+    return GramView(
+        entries=tuple(
+            tuple(Fraction(sum(a * b for a, b in zip(p, q)), code.norm_sq_scaled) for q in pts)
+            for p in pts
+        )
+    )
 
 
 # --- gram views -------------------------------------------------------------
@@ -75,21 +85,11 @@ def _gram_of_vectors(vectors, antipode=None):
 def test_gram_from_embedded_e8(e8_gram):
     assert e8_gram.n == 240
     assert all(e8_gram.entries[i][i] == 1 for i in range(240))
-    assert e8_gram.antipode is not None
-    assert all(e8_gram.antipode[j] == (j + 120) % 240 for j in range(240))
 
 
 def test_gram_from_embedded_two_point_pair():
     g = gram_from_embedded(_pair_code())
     assert g.entries == ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1)))
-    assert g.antipode == (1, 0)
-
-
-def test_gram_from_embedded_missing_partner():
-    # one point of the pair, its antipode map still naming the dropped partner
-    g = gram_from_embedded(_pair_code())
-    with pytest.raises(StructureError):
-        GramView(entries=(g.entries[0][:1],), antipode=g.antipode[:1])
 
 
 def test_gram_view_validation():
@@ -101,32 +101,8 @@ def test_gram_view_validation():
     with pytest.raises(StructureError):
         GramView(entries=((one, zero), (Fraction(1, 2), one)))
     ok = ((one, -one), (-one, one))
-    with pytest.raises(StructureError):
-        GramView(entries=ok, antipode=(1,))
-    with pytest.raises(StructureError):
-        GramView(entries=ok, antipode=(0, 1))
-    with pytest.raises(StructureError):
-        GramView(entries=((one, zero), (zero, one)), antipode=(1, 0))
     # a Gram view is a symmetric matrix: squareness and symmetry are SymMatrix's checks
-    assert isinstance(GramView(entries=ok, antipode=(1, 0)), SymMatrix)
-
-
-def test_gram_from_lattice_e8(e8_roots):
-    g = gram_from_lattice(e8_roots)
-    assert g.n == 240
-    assert g.antipode is not None
-    assert gram_spectrum(g) == {
-        Fraction(-1): 240,
-        Fraction(-1, 2): 13440,
-        Fraction(0): 30240,
-        Fraction(1, 2): 13440,
-    }
-
-
-def test_gram_from_lattice_without_antipodes():
-    g = gram_from_lattice(LatticeCode(2, 1, 1, ((1, 0), (0, 1))))
-    assert g.antipode is None
-    assert g.entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert isinstance(GramView(entries=ok), SymMatrix)
 
 
 # --- coherence --------------------------------------------------------------
@@ -137,7 +113,7 @@ def test_max_coherence_e8(e8_gram):
 
 
 def test_max_coherence_lattice_roots(e8_roots):
-    assert max_coherence(gram_from_lattice(e8_roots)) == Fraction(1, 2)
+    assert max_coherence(_lattice_gram(e8_roots)) == Fraction(1, 2)
 
 
 def test_max_coherence_orthonormal():
@@ -145,24 +121,50 @@ def test_max_coherence_orthonormal():
 
 
 def test_max_coherence_repeated_point():
-    # x, x, -x, -x: the non-antipodal pairs (0,1), (2,3) carry +1 and
-    # (0,3), (1,2) carry -1, so only the antipodal -1s may be dropped
+    # x, x, -x, -x: the non-antipodal pairs (0,3), (1,2) carry -1 like the
+    # antipodal ones, but (0,1), (2,3) carry +1, so the coherence is still 1
     one = Fraction(1)
     x = (one, one, -one, -one)
-    g = GramView(
-        entries=(x, x, tuple(-v for v in x), tuple(-v for v in x)),
-        antipode=(2, 3, 0, 1),
-    )
+    g = GramView(entries=(x, x, tuple(-v for v in x), tuple(-v for v in x)))
     assert gram_spectrum(g) == {-one: 8, one: 4}
     assert max_coherence(g) == 1
-    assert max_coherence(g, include_antipodal=True) == 1
 
 
 def test_max_coherence_antipodal_flag():
     g = gram_from_embedded(_pair_code())
     with pytest.raises(DomainError):
         max_coherence(g)
-    assert max_coherence(g, include_antipodal=True) == 1
+
+
+@st.composite
+def antipodal_unit_vectors(draw):
+    """Rational unit vectors in dims 2-5, some repeated and some negated, then
+    all of them negated: point i + N is the sign flip of point i."""
+    rng = draw(st.randoms())
+    m = draw(st.integers(2, 5))
+    base = [_unit_vector(rng, m) for _ in range(draw(st.integers(1, 3)))]
+    base += [tuple(-x for x in v) for v in base]
+    reps = draw(st.lists(st.sampled_from(base), min_size=1, max_size=5))
+    return reps + [tuple(-x for x in v) for v in reps]
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors=antipodal_unit_vectors())
+def test_coherence_skips_exactly_the_partner_pairs(vectors):
+    # witness: a double loop over index pairs, skipping each point's partner
+    n = len(vectors)
+    g = _gram_of_vectors(vectors)
+    admissible = [
+        abs(g.entries[i][j])
+        for i in range(n)
+        for j in range(n)
+        if j != i and j != (i + n // 2) % n
+    ]
+    if not admissible:
+        with pytest.raises(DomainError):
+            max_coherence(g)
+    else:
+        assert max_coherence(g) == max(admissible)
 
 
 # --- frame bound ------------------------------------------------------------
@@ -259,8 +261,7 @@ def test_quadratic_bound_soundness_random_antipodal_sets():
             if v not in chosen and neg not in chosen:
                 chosen[v] = None
         vectors = list(chosen) + [tuple(-x for x in v) for v in chosen]
-        antipode = tuple((i + half) % (2 * half) for i in range(2 * half))
-        g = _gram_of_vectors(vectors, antipode=antipode)
+        g = _gram_of_vectors(vectors)
         bound = quadratic_bound(2 * half, m)
         coherence = max_coherence(g)
         assert coherence * coherence >= bound.radicand
@@ -283,7 +284,7 @@ def test_design_strength_e8_embedded_stops_at_three(e8_gram):
 
 
 def test_design_strength_e8_roots_is_seven(e8_roots):
-    check = design_strength(gram_from_lattice(e8_roots), 7, 8)
+    check = design_strength(_lattice_gram(e8_roots), 7, 8)
     assert check.strength == 7
     assert check.residuals[:7] == (0,) * 7
     assert check.residuals[7] == Fraction(172800, 143)
@@ -309,8 +310,8 @@ def test_design_strength_invariant_under_relabeling():
     rng = random.Random(47)
     shuffled = points[:]
     rng.shuffle(shuffled)
-    original = gram_from_lattice(LatticeCode(3, 1, 1, tuple(points)))
-    permuted = gram_from_lattice(LatticeCode(3, 1, 1, tuple(shuffled)))
+    original = _lattice_gram(LatticeCode(3, 1, 1, tuple(points)))
+    permuted = _lattice_gram(LatticeCode(3, 1, 1, tuple(shuffled)))
     assert design_strength(original, 2, 4) == design_strength(permuted, 2, 4)
 
 
@@ -351,8 +352,7 @@ def test_certify_orthonormal_plus_minus():
     g = GramView(
         entries=tuple(
             tuple(s * t * normalized_inner(a, b) for t, b in points) for s, a in points
-        ),
-        antipode=(3, 4, 5, 0, 1, 2),
+        )
     )
     bound = quadratic_bound(g.n, 3)
     frame = frame_bound_check(g, 3)
@@ -528,7 +528,7 @@ def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
     code = build_code(roots)
     gram = _frobenius_gram(roots)
     assert code.gram == gram
-    g = GramView(entries=gram, antipode=code.antipode)
+    g = GramView(entries=gram)
     dim = code.ambient_harmonic_dim
     bound = quadratic_bound(g.n, dim)
     frame = frame_bound_check(g, dim)

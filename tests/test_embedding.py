@@ -102,7 +102,6 @@ def test_build_code_shape(e8_code):
     assert e8_code.ambient_harmonic_dim == 35
     assert len(e8_code.gram) == 240
     assert all(len(row) == 240 for row in e8_code.gram)
-    assert e8_code.antipode == tuple(range(120, 240)) + tuple(range(120))
     # the representatives come first and their sign flips second: each
     # quadrant of the Gram is +-B, B the Frobenius Gram of the representatives
     for i in (0, 7, 119):

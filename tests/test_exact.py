@@ -11,7 +11,6 @@ from harmonic_codes.exact import (
     SymMatrix,
     frobenius_inner,
     parse_rational,
-    rat,
 )
 
 
@@ -22,26 +21,26 @@ def _euclid_gcd(a, b):
     return a
 
 
+# Byte-identical output relies on Fraction's canonical form: a positive,
+# gcd-reduced denominator, so str() gives one token per value.
+
+
 def test_rat_reduces():
-    assert rat(2, 4) == Fraction(1, 2)
+    r = Fraction(2, 4)
+    assert (r.numerator, r.denominator) == (1, 2)
 
 
 def test_rat_normalizes_sign():
-    r = rat(-3, -6)
-    assert r == Fraction(1, 2)
-    assert r.denominator > 0
+    assert (Fraction(-3, -6).numerator, Fraction(-3, -6).denominator) == (1, 2)
+    assert str(Fraction(3, -6)) == "-1/2"
 
 
 def test_rat_large_reduction_matches_euclid():
     # independent oracle: reduce 8160/399840 by the Euclidean algorithm
     g = _euclid_gcd(8160, 399840)
     assert g == 8160
-    assert rat(8160, 399840) == Fraction(8160 // g, 399840 // g) == Fraction(1, 49)
-
-
-def test_rat_zero_denominator():
-    with pytest.raises(DomainError):
-        rat(1, 0)
+    r = Fraction(8160, 399840)
+    assert (r.numerator, r.denominator) == (8160 // g, 399840 // g) == (1, 49)
 
 
 def test_random_rationals_are_canonical():
@@ -49,7 +48,7 @@ def test_random_rationals_are_canonical():
     for _ in range(300):
         num = rng.randint(-10**6, 10**6)
         den = rng.randint(1, 10**6) * rng.choice([-1, 1])
-        r = rat(num, den)
+        r = Fraction(num, den)
         assert r.denominator > 0
         assert math.gcd(abs(r.numerator), r.denominator) == 1
 
