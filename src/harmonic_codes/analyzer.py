@@ -28,8 +28,12 @@ class ScanResult:
     k: int
     harmonic_dim: int
     image_values: Mapping[Rational, Rational]
-    constant_modulus: bool
     modulus: Rational | None
+
+    @property
+    def constant_modulus(self) -> bool:
+        """Every image value has the same absolute value, the modulus."""
+        return self.modulus is not None
 
 
 @dataclass(frozen=True)
@@ -71,15 +75,13 @@ def constant_modulus_scan(
         harmonic_dim = harmonic_dimension(d, k)  # rejects k < 0 before family[k] can wrap
         image = {v: family[k].evaluate(v) for v in vals}
         moduli = {abs(g) for g in image.values()}
-        constant = len(moduli) == 1
         results.append(
             ScanResult(
                 d=d,
                 k=k,
                 harmonic_dim=harmonic_dim,
                 image_values=image,
-                constant_modulus=constant,
-                modulus=next(iter(moduli)) if constant else None,
+                modulus=moduli.pop() if len(moduli) == 1 else None,
             )
         )
     return results

@@ -86,7 +86,7 @@ def cmd_build(args) -> int:
     code = _built(args)
     if args.certify:
         return _print_certificate(code, args.t_max)
-    values = sorted(code.histogram)
+    values = sorted(code.histogram.keys() | {1})
     print(f"n_points {len(code)}")
     print(f"ambient_harmonic_dim {code.ambient_harmonic_dim}")
     print("gram_values " + " ".join(str(v) for v in values))

@@ -4,8 +4,10 @@ Every certificate here is a fold over one value histogram, of a validated
 Gram matrix or of a built code's integer representative pairs: coherence,
 the tight-frame inequality and design strength via vanishing Gegenbauer
 moment sums, next to the closed-form lower bound on coherence for antipodal
-codes.  Two unit vectors are antipodal exactly when their Gram value is -1,
-so coherence skips the -1 values and needs no pairing of its own.  The
+codes.  The histogram counts ordered pairs of distinct points, so it is the
+Gram spectrum; the frame and design sums add the diagonal as their n term.
+Two unit vectors are antipodal exactly when their Gram value is -1, so
+coherence skips the -1 values and needs no pairing of its own.  The
 optimality verdict is the exact comparison of achieved coherence against the
 bound.
 """
@@ -39,19 +41,16 @@ class GramView(SymMatrix):
 
     @cached_property
     def histogram(self) -> Counter:
-        """Value counts over all ordered pairs, diagonal included.
+        """Value counts over ordered pairs of distinct points: the Gram spectrum.
 
         The only walk over the entries after validation: the upper triangle
-        is counted once and doubled (symmetry is already proved), then the
-        n unit diagonal entries are added.
+        is counted once and doubled (symmetry is already proved).
         """
         counts: Counter = Counter()
         for i, row in enumerate(self.entries):
             counts.update(row[i + 1:])
         for v in counts:
             counts[v] *= 2
-        if self.n:
-            counts[Fraction(1)] += self.n
         return counts
 
 
@@ -107,21 +106,13 @@ def gram_from_embedded(code: EmbeddedCode) -> GramView:
 
 
 # The folds read g.n and g.histogram of a validated GramView or of a built
-# EmbeddedCode.
+# EmbeddedCode; the histogram counts ordered pairs of distinct points.
 Histogrammed = GramView | EmbeddedCode
 
 
-def _off_diagonal(g: Histogrammed) -> Counter:
-    """Histogram without the n diagonal 1s."""
-    counts = g.histogram.copy()
-    counts[Fraction(1)] -= g.n
-    return +counts
-
-
 def gram_spectrum(g: Histogrammed) -> Spectrum:
-    """Value counts over ordered distinct pairs."""
-    counts = _off_diagonal(g)
-    return {v: counts[v] for v in sorted(counts)}
+    """Value counts over ordered distinct pairs: the histogram, sorted."""
+    return {v: g.histogram[v] for v in sorted(g.histogram)}
 
 
 def max_coherence(g: Histogrammed) -> Rational:
@@ -131,23 +122,24 @@ def max_coherence(g: Histogrammed) -> Rational:
     one equal to the other's partner, so some pair carries +1 and the
     coherence is 1 either way.
     """
-    counts = _off_diagonal(g)
-    counts.pop(Fraction(-1), None)
-    if not counts:
+    values = g.histogram.keys() - {-1}
+    if not values:
         raise DomainError("no admissible pair to take coherence over")
-    return max(abs(v) for v in counts)
+    return max(abs(v) for v in values)
 
 
 def frame_bound_check(g: Histogrammed, dim: int) -> FrameCheck:
     """Compare the squared-entry sum of the Gram against n^2/dim, exactly.
 
-    The sum runs over all ordered pairs including the diagonal; for any
-    set of n unit vectors spanning at most dim dimensions it is >= n^2/dim,
-    with equality exactly for tight frames.
+    The sum runs over all ordered pairs, the n diagonal term plus the
+    histogram's distinct pairs; for any set of n unit vectors spanning at
+    most dim dimensions it is >= n^2/dim, with equality exactly for tight
+    frames.
     """
     if dim < 1:
         raise DomainError("dimension must be positive")
-    frame_sum = sum((v * v * c for v, c in g.histogram.items()), Fraction(0))
+    # each diagonal entry is 1, so the diagonal contributes n
+    frame_sum = sum((v * v * c for v, c in g.histogram.items()), Fraction(g.n))
     frame_bound = Fraction(g.n * g.n, dim)
     return FrameCheck(frame_sum, frame_bound, frame_sum >= frame_bound)
 
@@ -184,14 +176,16 @@ def quadratic_bound(n: int, dim: int) -> QuadraticBound:
 def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:
     """Largest t <= t_max with vanishing Gegenbauer moment sums for k = 1..t.
 
-    The k-th residual is sum over all ordered pairs (diagonal included) of
-    g_k^{d_sphere} at the gram entries; a spherical t-design makes the
-    first t residuals exactly zero.
+    The k-th residual is the sum over all ordered pairs of g_k^{d_sphere}
+    at the gram entries: the n diagonal term plus the histogram's distinct
+    pairs.  A spherical t-design makes the first t residuals exactly zero.
     """
     if t_max < 1:
         raise DomainError("t_max must be at least 1")
+    # each diagonal entry is 1 and P_k(1) = 1 (GegenbauerPoly checks this
+    # normalization), so the diagonal contributes n to every residual
     residuals = [
-        sum((c * poly.evaluate(v) for v, c in g.histogram.items()), Fraction(0))
+        sum((c * poly.evaluate(v) for v, c in g.histogram.items()), Fraction(g.n))
         for poly in gegenbauer_family(d_sphere, t_max)[1:]
     ]
     strength = 0
@@ -207,8 +201,9 @@ def certify(code: EmbeddedCode, t_max: int = 3) -> CodeReport:
 
     The verdict is exact: the code is optimal among antipodal codes of the
     same size and dimension iff its coherence squared equals the bound's
-    radicand.  Every certificate folds over the code's histogram; no Gram
-    is built.
+    radicand.  Every certificate folds over the code's histogram of
+    distinct pairs, with the frame sum and design residuals adding the n
+    diagonal term; no Gram is built.
     """
     dim = code.ambient_harmonic_dim
     return CodeReport(

@@ -56,13 +56,13 @@ class EmbeddedCode:
 
     @cached_property
     def histogram(self) -> Counter:
-        """Gram value counts over all ordered pairs, diagonal included.
+        """Gram value counts over ordered pairs of distinct points: the Gram spectrum.
 
-        The diagonal gives n entries +1 and the antipodal pairs n entries -1;
-        each ordered representative pair at inner product t (spectrum counts
-        ordered pairs) appears twice as +g2(t) and twice as -g2(t).
+        The antipodal pairs give n entries -1; each ordered representative
+        pair at inner product t (spectrum counts ordered pairs) appears twice
+        as +g2(t) and twice as -g2(t).
         """
-        counts = Counter({Fraction(1): self.n, Fraction(-1): self.n})
+        counts = Counter({Fraction(-1): self.n})
         for t, c in spectrum(self.reps).items():
             v = self.kernel.evaluate(t)
             counts[v] += 2 * c

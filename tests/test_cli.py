@@ -31,6 +31,12 @@ SQUARE = """\
 0 -1
 """
 
+TWO_POINT = """\
+2 2 1 1
+1 0
+-1 0
+"""
+
 SIGNED_PERMUTATIONS_OF_1_2 = """\
 2 8 1 5
 1 2
@@ -135,12 +141,25 @@ def test_bound_irrational(capsys):
     assert capsys.readouterr().out == "sqrt(25/1152)\n"
 
 
-def test_build_summary(roots_file, capsys):
-    assert main(["build", "--in", roots_file]) == 0
+@pytest.mark.parametrize(
+    "make_text, n, dim, values",
+    [
+        (lambda: code_to_text(generate_e8_roots()), 240, 35, "-1 -1/7 1/7 1"),
+        # the one built code with an off-diagonal +1
+        (lambda: SQUARE, 4, 2, "-1 1"),
+        # its value table is only {-1: 2}; the 1 is the diagonal's
+        (lambda: TWO_POINT, 2, 2, "-1 1"),
+        (lambda: NON_ANTIPODAL_BASIS, 6, 5, "-1 -1/2 1/2 1"),
+    ],
+    ids=["e8", "square", "two-point", "cross-polytope-3"],
+)
+def test_build_summary(make_text, n, dim, values, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(make_text()))
+    assert main(["build", "--in", "-"]) == 0
     assert capsys.readouterr().out == (
-        "n_points 240\n"
-        "ambient_harmonic_dim 35\n"
-        "gram_values -1 -1/7 1/7 1\n"
+        f"n_points {n}\n"
+        f"ambient_harmonic_dim {dim}\n"
+        f"gram_values {values}\n"
     )
 
 
@@ -206,7 +225,7 @@ def test_exit_code_is_the_report_verdict(make_text, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("2 2 1 1\n1 0\n-1 0\n", "no admissible pair to take coherence over"),
+        (TWO_POINT, "no admissible pair to take coherence over"),
         (NON_ANTIPODAL_BASIS, "t_max must be at least 1"),
     ],
     ids=["two-point", "cross-polytope-3"],
@@ -258,6 +277,18 @@ def test_design_on_the_circle(capsys, monkeypatch):
         "residual k=4 17774656/390625\n"
         "residual k=5 0\n"
         "residual k=6 8840512576/244140625\n"
+    )
+
+
+def test_design_two_point_code(capsys, monkeypatch):
+    # every residual is n = 2 plus the one table term 2 P_k(-1) = 2 (-1)^k
+    monkeypatch.setattr("sys.stdin", io.StringIO(TWO_POINT))
+    assert main(["design", "--in", "-", "--t-max", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "design_strength 1\n"
+        "residual k=1 0\n"
+        "residual k=2 4\n"
+        "residual k=3 0\n"
     )
 
 

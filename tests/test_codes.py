@@ -548,6 +548,9 @@ def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
     assert report.optimal_antipodal is optimal
     assert report.passed is (optimal and frame.frame_sum >= frame.frame_bound)
     assert code.histogram == g.histogram
+    # both histograms count ordered pairs of distinct points: the Gram spectrum
+    assert sum(code.histogram.values()) == g.n * (g.n - 1)
+    assert code.histogram == gram_spectrum(g)
     # the closed-form float export against the same explicit Frobenius Gram
     rows = [[float(x) for x in line.split()] for line in float_code_to_text(code).splitlines()[1:]]
     half = len(rows) // 2
