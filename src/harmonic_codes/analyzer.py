@@ -38,13 +38,12 @@ class ScanResult:
 
 @dataclass(frozen=True)
 class CandidateSummary:
-    """Hypothetical embedded-code parameters for a spectrum, bound included."""
+    """Hypothetical embedded-code parameters for a spectrum: its scan, size, coherence, bound."""
 
-    harmonic_dim: int
+    scan: ScanResult
     n_points: int
     coherence: Rational
     bound: QuadraticBound
-    constant_modulus: bool
 
 
 def _checked_values(values: Iterable[int | Rational]) -> list[Rational]:
@@ -89,13 +88,11 @@ def constant_modulus_scan(
 
 def candidate_from_scan(scan: ScanResult, n_points: int) -> CandidateSummary:
     """Parameters the embedded code over a scanned spectrum would have, plus the bound."""
-    coherence = max(abs(g) for g in scan.image_values.values())
     return CandidateSummary(
-        harmonic_dim=scan.harmonic_dim,
+        scan=scan,
         n_points=n_points,
-        coherence=coherence,
+        coherence=max(abs(g) for g in scan.image_values.values()),
         bound=quadratic_bound(n_points, scan.harmonic_dim),
-        constant_modulus=scan.constant_modulus,
     )
 
 
@@ -137,11 +134,11 @@ def scan_to_dict(result: ScanResult) -> dict:
 
 def candidate_to_dict(summary: CandidateSummary) -> dict:
     return {
-        "ambient_dim": summary.harmonic_dim,
+        "ambient_dim": summary.scan.harmonic_dim,
         "n_points": summary.n_points,
         "coherence": str(summary.coherence),
         "bound": format_bound(summary.bound),
-        "constant_modulus": summary.constant_modulus,
+        "constant_modulus": summary.scan.constant_modulus,
     }
 
 

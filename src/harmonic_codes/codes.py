@@ -55,26 +55,42 @@ class GramView(SymMatrix):
 
 
 class FrameCheck(NamedTuple):
+    """The Gram's squared-entry sum and the n^2/dim it is compared against."""
+
     frame_sum: Rational
     frame_bound: Rational
-    satisfied: bool
+
+    @property
+    def satisfied(self) -> bool:
+        """The frame inequality holds: frame_sum >= frame_bound."""
+        return self.frame_sum >= self.frame_bound
 
 
 @dataclass(frozen=True)
 class QuadraticBound:
-    """Lower bound a_min on antipodal-code coherence, kept exact.
-
-    a_min^2 = radicand always; value is the rational square root when one
-    exists, otherwise None (the bound is irrational).
-    """
+    """Lower bound a_min on antipodal-code coherence, kept exact as a_min^2 = radicand >= 0."""
 
     radicand: Rational
-    value: Rational | None
+
+    @property
+    def value(self) -> Rational | None:
+        """The rational square root of the radicand, or None when the bound is irrational."""
+        q = self.radicand
+        rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+        if rn * rn != q.numerator or rd * rd != q.denominator:
+            return None
+        return Fraction(rn, rd)
 
 
 class DesignCheck(NamedTuple):
-    strength: int
+    """Gegenbauer moment residuals for k = 1..t_max, the diagonal term included."""
+
     residuals: tuple[Rational, ...]
+
+    @property
+    def strength(self) -> int:
+        """The run of leading zero residuals: the largest t of a t-design certified."""
+        return next((t for t, r in enumerate(self.residuals) if r), len(self.residuals))
 
 
 @dataclass(frozen=True)
@@ -140,19 +156,7 @@ def frame_bound_check(g: Histogrammed, dim: int) -> FrameCheck:
         raise DomainError("dimension must be positive")
     # each diagonal entry is 1, so the diagonal contributes n
     frame_sum = sum((v * v * c for v, c in g.histogram.items()), Fraction(g.n))
-    frame_bound = Fraction(g.n * g.n, dim)
-    return FrameCheck(frame_sum, frame_bound, frame_sum >= frame_bound)
-
-
-def _rational_sqrt(q: Rational) -> Rational | None:
-    """Exact nonnegative square root, or None when q is not a rational square."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
+    return FrameCheck(frame_sum, Fraction(g.n * g.n, dim))
 
 
 def quadratic_bound(n: int, dim: int) -> QuadraticBound:
@@ -160,8 +164,8 @@ def quadratic_bound(n: int, dim: int) -> QuadraticBound:
 
     From sum (y_i,y_j)^2 >= n^2/dim the diagonal and antipodal pairs each
     contribute n, leaving n(n-2) ordered pairs to average at least
-    (n^2/dim - 2n)/(n(n-2)); the bound is the square root of that average,
-    clamped at zero.
+    (n^2/dim - 2n)/(n(n-2)).  The record keeps that average, clamped at
+    zero, as its radicand; its value is the rational square root, if any.
     """
     if n % 2 != 0:
         raise StructureError("antipodal codes have an even number of points")
@@ -169,12 +173,11 @@ def quadratic_bound(n: int, dim: int) -> QuadraticBound:
         raise DomainError("need at least two antipodal pairs")
     if dim < 1:
         raise DomainError("dimension must be positive")
-    radicand = max(Fraction(0), (Fraction(n, dim) - 2) / (n - 2))
-    return QuadraticBound(radicand=radicand, value=_rational_sqrt(radicand))
+    return QuadraticBound(max(Fraction(0), (Fraction(n, dim) - 2) / (n - 2)))
 
 
 def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:
-    """Largest t <= t_max with vanishing Gegenbauer moment sums for k = 1..t.
+    """Gegenbauer moment residuals for k = 1..t_max; strength counts the leading zeros.
 
     The k-th residual is the sum over all ordered pairs of g_k^{d_sphere}
     at the gram entries: the n diagonal term plus the histogram's distinct
@@ -184,16 +187,10 @@ def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:
         raise DomainError("t_max must be at least 1")
     # each diagonal entry is 1 and P_k(1) = 1 (GegenbauerPoly checks this
     # normalization), so the diagonal contributes n to every residual
-    residuals = [
+    return DesignCheck(tuple(
         sum((c * poly.evaluate(v) for v, c in g.histogram.items()), Fraction(g.n))
         for poly in gegenbauer_family(d_sphere, t_max)[1:]
-    ]
-    strength = 0
-    for r in residuals:
-        if r != 0:
-            break
-        strength += 1
-    return DesignCheck(strength=strength, residuals=tuple(residuals))
+    ))
 
 
 def certify(code: EmbeddedCode, t_max: int = 3) -> CodeReport:
@@ -221,9 +218,8 @@ def certify(code: EmbeddedCode, t_max: int = 3) -> CodeReport:
 
 
 def format_bound(bound: QuadraticBound) -> str:
-    if bound.value is not None:
-        return str(bound.value)
-    return f"sqrt({bound.radicand})"
+    value = bound.value
+    return f"sqrt({bound.radicand})" if value is None else str(value)
 
 
 def report_to_dict(report: CodeReport) -> dict:

@@ -21,8 +21,10 @@ from .exact import DomainError, Rational
 def harmonic_dimension(d: int, k: int) -> int:
     """Dimension of the space of degree-k spherical harmonics on S^d.
 
-    Evaluates (2k+d-1)/(k+d-1) * C(d+k-1, k) exactly.  By convention the
-    degree-0 space (constants) has dimension 1.
+    Degree-k harmonics are the degree-k homogeneous polynomials in d+1
+    variables modulo |x|^2 times those of degree k-2, so the dimension is
+    C(d+k, d) - C(d+k-2, d).  By convention the degree-0 space (constants)
+    has dimension 1.
     """
     if d < 1:
         raise DomainError("sphere dimension must be >= 1")
@@ -30,9 +32,7 @@ def harmonic_dimension(d: int, k: int) -> int:
         raise DomainError("degree must be >= 0")
     if k == 0:
         return 1
-    value = Fraction(2 * k + d - 1, k + d - 1) * math.comb(d + k - 1, k)
-    assert value.denominator == 1
-    return int(value)
+    return math.comb(d + k, d) - math.comb(d + k - 2, d)
 
 
 @dataclass(frozen=True)

@@ -155,28 +155,28 @@ def test_scan_parity_for_odd_degrees():
 
 def test_candidate_equiangular_instance():
     summary = candidate_parameters([0, HALF, -HALF], 7, 2, 240)
-    assert summary.harmonic_dim == 35
+    assert summary.scan.harmonic_dim == 35
     assert summary.n_points == 240
     assert summary.coherence == Fraction(1, 7)
     assert summary.bound.value == Fraction(1, 7)
-    assert summary.constant_modulus
+    assert summary.scan.constant_modulus
 
 
 def test_candidate_wider_spectrum():
     summary = candidate_parameters([0, QUARTER, -QUARTER, HALF, -HALF], 23, 2, 196560)
-    assert summary.harmonic_dim == 299
+    assert summary.scan.harmonic_dim == 299
     assert summary.coherence == Fraction(5, 23)
-    assert not summary.constant_modulus
+    assert not summary.scan.constant_modulus
     assert summary.bound.radicand == Fraction(7537, 2260417)
     assert summary.bound.value is None
 
 
 def test_candidate_orthogonal_spectrum():
     summary = candidate_parameters([0], 7, 2, 70)
-    assert summary.harmonic_dim == 35
+    assert summary.scan.harmonic_dim == 35
     assert summary.coherence == Fraction(1, 7)
     assert summary.bound.value == 0
-    assert summary.constant_modulus
+    assert summary.scan.constant_modulus
 
 
 def test_candidate_rejects_odd_n_points():

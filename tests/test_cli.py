@@ -357,13 +357,20 @@ def test_scan_leech_spectrum(tmp_path, capsys):
     assert set(result["image"].values()) == {"-1/23", "1/46", "5/23"}
 
 
-def test_scan_bad_n_points_writes_nothing(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["-k", "2", "--n-points", "3"], "antipodal codes have an even number of points"),
+        (["-k", "3", "--k-max", "2"], "--k-max must be >= -k"),
+    ],
+    ids=["n-points-3", "k-max-below-k"],
+)
+def test_scan_bad_n_points_writes_nothing(args, message, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
-    argv = ["scan", "--in", "-", "-d", "7", "-k", "2", "--n-points", "3"]
-    assert main(argv) == 1
+    assert main(["scan", "--in", "-", "-d", "7", *args]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("harmonic-codes: error:")
+    assert captured.err == f"harmonic-codes: error: {message}\n"
 
 
 def test_scan_exponent_token_exits_one(capsys, monkeypatch):
@@ -425,12 +432,22 @@ def test_malformed_code_file_exits_one(tmp_path, capsys):
     assert main(["build", "--in", str(bad)]) == 1
 
 
-def test_empty_code_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("8 0 2 8\n"))
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("8 0 2 8\n", "code has no points to embed"),
+        ("1 2 1 1\n1\n-1\n", "ambient dimension must be at least 2"),
+        ("0 0 1 1\n", "dimensions, scale and norm must be positive"),
+        ("8 x 2 8\n", "bad header '8 x 2 8'"),
+    ],
+    ids=["no-points", "one-dimensional", "zero-dimension", "bad-header"],
+)
+def test_empty_code_exits_one(text, message, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert main(["build", "--in", "-"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "harmonic-codes: error: code has no points to embed\n"
+    assert captured.err == f"harmonic-codes: error: {message}\n"
 
 
 def test_unknown_subcommand_usage_error(capsys):

@@ -180,7 +180,8 @@ def test_frame_bound_e8_tight(e8_gram):
 
 def test_frame_bound_single_vector():
     check = frame_bound_check(GramView(entries=((Fraction(1),),)), 1)
-    assert check == (1, 1, True)
+    assert check == (1, 1)
+    assert check.satisfied
 
 
 def test_frame_bound_orthonormal_basis():
@@ -218,7 +219,8 @@ def test_frame_bound_soundness_random_unit_vectors():
 
 def test_quadratic_bound_e8_parameters():
     bound = quadratic_bound(240, 35)
-    assert bound == QuadraticBound(radicand=Fraction(1, 49), value=Fraction(1, 7))
+    assert bound == QuadraticBound(radicand=Fraction(1, 49))
+    assert bound.value == Fraction(1, 7)
 
 
 def test_quadratic_bound_orthonormal_case():
@@ -236,7 +238,8 @@ def test_quadratic_bound_clamps_at_zero():
 
 def test_quadratic_bound_irrational():
     bound = quadratic_bound(98, 24)
-    assert bound == QuadraticBound(radicand=Fraction(25, 1152), value=None)
+    assert bound == QuadraticBound(radicand=Fraction(25, 1152))
+    assert bound.value is None
 
 
 def test_quadratic_bound_rejects_bad_input():
@@ -332,8 +335,10 @@ def test_certify_e8(e8_report):
         Fraction(-1, 7): 28560,
         Fraction(1, 7): 28560,
     }
-    assert e8_report.bound == QuadraticBound(radicand=Fraction(1, 49), value=Fraction(1, 7))
-    assert e8_report.frame == FrameCheck(Fraction(11520, 7), Fraction(11520, 7), True)
+    assert e8_report.bound == QuadraticBound(radicand=Fraction(1, 49))
+    assert e8_report.bound.value == Fraction(1, 7)
+    assert e8_report.frame == FrameCheck(Fraction(11520, 7), Fraction(11520, 7))
+    assert e8_report.frame.satisfied
     assert e8_report.design.strength == 3
     assert e8_report.optimal_antipodal
     assert e8_report.passed
@@ -380,8 +385,11 @@ def test_certify_non_optimal_code():
 
 
 def test_format_helpers():
-    assert format_bound(QuadraticBound(Fraction(1, 49), Fraction(1, 7))) == "1/7"
-    assert format_bound(QuadraticBound(Fraction(25, 1152), None)) == "sqrt(25/1152)"
+    assert format_bound(QuadraticBound(Fraction(1, 49))) == "1/7"
+    assert format_bound(QuadraticBound(Fraction(25, 1152))) == "sqrt(25/1152)"
+    # square denominator, non-square numerator: still irrational
+    assert format_bound(QuadraticBound(Fraction(2, 9))) == "sqrt(2/9)"
+    assert format_bound(QuadraticBound(Fraction(0))) == "0"
     assert format_bound(quadratic_bound(98, 24)) == "sqrt(25/1152)"
 
 
@@ -418,10 +426,11 @@ def test_report_json_irrational_bound():
         n_points=98,
         coherence_a=Fraction(1, 4),
         spectrum={Fraction(1, 4): 2},
-        bound=QuadraticBound(radicand=Fraction(25, 1152), value=None),
-        frame=FrameCheck(Fraction(400), Fraction(400), True),
-        design=DesignCheck(strength=1, residuals=(Fraction(0), Fraction(1))),
+        bound=QuadraticBound(radicand=Fraction(25, 1152)),
+        frame=FrameCheck(Fraction(400), Fraction(400)),
+        design=DesignCheck(residuals=(Fraction(0), Fraction(1))),
     )
+    assert report.design.strength == 1
     assert not report.optimal_antipodal
     assert json.loads(report_to_json(report))["bound"] == "sqrt(25/1152)"
 

@@ -207,6 +207,8 @@ def test_gram_text_rejects_malformed():
     with pytest.raises(StructureError):
         gram_from_text("1\nx\n")
     with pytest.raises(StructureError):
+        gram_from_text("x")
+    with pytest.raises(StructureError):
         gram_from_text("1\n1e400\n")
 
 

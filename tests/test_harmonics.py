@@ -51,6 +51,12 @@ def test_dimension_paper_case():
 def test_dimension_linear_harmonics_are_coordinates():
     for d in range(1, 31):
         assert harmonic_dimension(d, 1) == d + 1
+    # branching rule: restricted to S^{d-1}, H_k(S^d) splits into H_j for j <= k
+    for d in range(2, 31):
+        for k in range(13):
+            assert harmonic_dimension(d, k) == sum(
+                harmonic_dimension(d - 1, j) for j in range(k + 1)
+            )
 
 
 def test_dimension_leech_case():
