@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, TextIO
 
 from .codes import QuadraticBound, format_bound, quadratic_bound
-from .exact import DomainError, Rational, parse_rational
+from .exact import DomainError, parse_rational
 # gegenbauer stays importable here: bench/run.py shims it by name.
 from .harmonics import gegenbauer, gegenbauer_family, harmonic_dimension
 
@@ -27,8 +27,8 @@ class ScanResult:
     d: int
     k: int
     harmonic_dim: int
-    image_values: Mapping[Rational, Rational]
-    modulus: Rational | None
+    image_values: Mapping[Fraction, Fraction]
+    modulus: Fraction | None
 
     @property
     def constant_modulus(self) -> bool:
@@ -42,11 +42,11 @@ class CandidateSummary:
 
     scan: ScanResult
     n_points: int
-    coherence: Rational
+    coherence: Fraction
     bound: QuadraticBound
 
 
-def _checked_values(values: Iterable[int | Rational]) -> list[Rational]:
+def _checked_values(values: Iterable[int | Fraction]) -> list[Fraction]:
     out = []
     for v in values:
         v = Fraction(v)
@@ -61,7 +61,7 @@ def _checked_values(values: Iterable[int | Rational]) -> list[Rational]:
 
 
 def constant_modulus_scan(
-    values: Iterable[int | Rational], d: int, k_range: Iterable[int]
+    values: Iterable[int | Fraction], d: int, k_range: Iterable[int]
 ) -> List[ScanResult]:
     """Evaluate g_k^d on every value for each k and report modulus constancy."""
     vals = _checked_values(values)
@@ -97,7 +97,7 @@ def candidate_from_scan(scan: ScanResult, n_points: int) -> CandidateSummary:
 
 
 def candidate_parameters(
-    values: Iterable[int | Rational], d: int, k: int, n_points: int
+    values: Iterable[int | Fraction], d: int, k: int, n_points: int
 ) -> CandidateSummary:
     """candidate_from_scan of the one-degree scan of these values."""
     (scan,) = constant_modulus_scan(values, d, k_range=[k])
@@ -107,7 +107,7 @@ def candidate_parameters(
 # --- spectrum file and report rendering -------------------------------------
 
 
-def read_spectrum_file(f: TextIO) -> list[Rational]:
+def read_spectrum_file(f: TextIO) -> list[Fraction]:
     """One p/q token per line; blank lines ignored."""
     out = []
     for line in f.read().splitlines():
@@ -118,8 +118,8 @@ def read_spectrum_file(f: TextIO) -> list[Rational]:
     return out
 
 
-def scan_to_dict(result: ScanResult) -> dict:
-    return {
+def scan_to_json(result: ScanResult) -> str:
+    return json.dumps({
         "d": result.d,
         "k": result.k,
         "harmonic_dim": result.harmonic_dim,
@@ -129,22 +129,14 @@ def scan_to_dict(result: ScanResult) -> dict:
         },
         "constant_modulus": result.constant_modulus,
         "modulus": None if result.modulus is None else str(result.modulus),
-    }
+    }) + "\n"
 
 
-def candidate_to_dict(summary: CandidateSummary) -> dict:
-    return {
+def candidate_to_json(summary: CandidateSummary) -> str:
+    return json.dumps({
         "ambient_dim": summary.scan.harmonic_dim,
         "n_points": summary.n_points,
         "coherence": str(summary.coherence),
         "bound": format_bound(summary.bound),
         "constant_modulus": summary.scan.constant_modulus,
-    }
-
-
-def scan_to_json(result: ScanResult) -> str:
-    return json.dumps(scan_to_dict(result)) + "\n"
-
-
-def candidate_to_json(summary: CandidateSummary) -> str:
-    return json.dumps(candidate_to_dict(summary)) + "\n"
+    }) + "\n"

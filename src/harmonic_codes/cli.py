@@ -84,8 +84,6 @@ def cmd_gegenbauer(args) -> int:
 
 def cmd_build(args) -> int:
     code = _built(args)
-    if args.certify:
-        return _print_certificate(code, args.t_max)
     values = sorted(code.histogram.keys() | {1})
     print(f"n_points {len(code)}")
     print(f"ambient_harmonic_dim {code.ambient_harmonic_dim}")
@@ -93,14 +91,10 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _print_certificate(code, t_max: int) -> int:
-    report = certify(code, t_max=t_max)
+def cmd_certify(args) -> int:
+    report = certify(_built(args), t_max=args.t_max)
     sys.stdout.write(report_to_json(report))
     return 0 if report.passed else 1
-
-
-def cmd_certify(args) -> int:
-    return _print_certificate(_built(args), args.t_max)
 
 
 def cmd_bound(args) -> int:
@@ -172,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="embed a code and summarize its gram")
     _add_input_options(p)
-    p.add_argument("--certify", action="store_true", help="print the full certificate")
-    p.add_argument("--t-max", type=int, default=3)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("certify", help="build and print the full certificate")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .exact import DomainError, Rational, StructureError, SymMatrix
+from .exact import DomainError, StructureError, SymMatrix
 from .embedding import EmbeddedCode
 # gegenbauer stays importable here: bench/run.py shims it by name.
 from .harmonics import gegenbauer, gegenbauer_family
@@ -31,7 +31,7 @@ from .lattice import Spectrum
 
 @dataclass(frozen=True)
 class GramView(SymMatrix):
-    """Symmetric unit-diagonal Rational matrix: the Gram of a set of unit vectors."""
+    """Symmetric unit-diagonal Fraction matrix: the Gram of a set of unit vectors."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -57,8 +57,8 @@ class GramView(SymMatrix):
 class FrameCheck(NamedTuple):
     """The Gram's squared-entry sum and the n^2/dim it is compared against."""
 
-    frame_sum: Rational
-    frame_bound: Rational
+    frame_sum: Fraction
+    frame_bound: Fraction
 
     @property
     def satisfied(self) -> bool:
@@ -70,10 +70,10 @@ class FrameCheck(NamedTuple):
 class QuadraticBound:
     """Lower bound a_min on antipodal-code coherence, kept exact as a_min^2 = radicand >= 0."""
 
-    radicand: Rational
+    radicand: Fraction
 
     @property
-    def value(self) -> Rational | None:
+    def value(self) -> Fraction | None:
         """The rational square root of the radicand, or None when the bound is irrational."""
         q = self.radicand
         rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
@@ -85,7 +85,7 @@ class QuadraticBound:
 class DesignCheck(NamedTuple):
     """Gegenbauer moment residuals for k = 1..t_max, the diagonal term included."""
 
-    residuals: tuple[Rational, ...]
+    residuals: tuple[Fraction, ...]
 
     @property
     def strength(self) -> int:
@@ -99,7 +99,7 @@ class CodeReport:
 
     ambient_dim: int
     n_points: int
-    coherence_a: Rational
+    coherence_a: Fraction
     spectrum: Spectrum
     bound: QuadraticBound
     frame: FrameCheck
@@ -131,7 +131,7 @@ def gram_spectrum(g: Histogrammed) -> Spectrum:
     return {v: g.histogram[v] for v in sorted(g.histogram)}
 
 
-def max_coherence(g: Histogrammed) -> Rational:
+def max_coherence(g: Histogrammed) -> Fraction:
     """Largest |gram value| over distinct pairs other than the antipodal -1s.
 
     In an antipodal code, a -1 between two points that are not partners makes
@@ -222,8 +222,8 @@ def format_bound(bound: QuadraticBound) -> str:
     return f"sqrt({bound.radicand})" if value is None else str(value)
 
 
-def report_to_dict(report: CodeReport) -> dict:
-    return {
+def report_to_json(report: CodeReport) -> str:
+    return json.dumps({
         "ambient_dim": report.ambient_dim,
         "n_points": report.n_points,
         "coherence": str(report.coherence_a),
@@ -235,8 +235,4 @@ def report_to_dict(report: CodeReport) -> dict:
         "frame_bound": str(report.frame.frame_bound),
         "design_strength": report.design.strength,
         "optimal_antipodal": report.optimal_antipodal,
-    }
-
-
-def report_to_json(report: CodeReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    }, indent=2) + "\n"

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List
 
-from .exact import Rational, StructureError, SymMatrix, frobenius_inner, parse_rational
+from .exact import StructureError, SymMatrix, frobenius_inner, parse_rational
 from .harmonics import GegenbauerPoly, gegenbauer, harmonic_dimension
 from .lattice import LatticeCode, scaled_dot, select_antipodal_representatives, spectrum
 
@@ -70,7 +70,7 @@ class EmbeddedCode:
         return counts
 
     @cached_property
-    def gram(self) -> tuple[tuple[Rational, ...], ...]:
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
         """The exact 2N x 2N Gram, through one map from integer dot products to g2."""
         pts, norm = self.reps.points, self.reps.norm_sq_scaled
         dots = [[scaled_dot(p, q) for q in pts] for p in pts]
@@ -103,7 +103,7 @@ def embed_degree2(code: LatticeCode, index: int) -> SymMatrix:
     return SymMatrix(entries)
 
 
-def normalized_inner(a: SymMatrix, b: SymMatrix) -> Rational:
+def normalized_inner(a: SymMatrix, b: SymMatrix) -> Fraction:
     """Frobenius inner product, normalized to 1 on the diagonal."""
     return frobenius_inner(a, b) / frobenius_inner(a, a)
 
@@ -173,7 +173,7 @@ def float_code_to_text(code: EmbeddedCode) -> str:
     return out.getvalue()
 
 
-def gram_to_text(gram: tuple[tuple[Rational, ...], ...]) -> str:
+def gram_to_text(gram: tuple[tuple[Fraction, ...], ...]) -> str:
     """Header `N`, then N lines of N exact rational tokens."""
     out = io.StringIO()
     out.write(f"{len(gram)}\n")
@@ -182,7 +182,7 @@ def gram_to_text(gram: tuple[tuple[Rational, ...], ...]) -> str:
     return out.getvalue()
 
 
-def gram_from_text(text: str) -> tuple[tuple[Rational, ...], ...]:
+def gram_from_text(text: str) -> tuple[tuple[Fraction, ...], ...]:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise StructureError("empty gram file")

@@ -1,17 +1,13 @@
-"""Exact rational scalars and small dense symmetric matrices.
+"""p/q token parsing, error types and small dense symmetric matrices.
 
-Every certificate in this package is computed over arbitrary-precision
-rationals; floats never enter except in the optional coordinate export.
+Every certificate in this package is computed over `fractions.Fraction`;
+floats never enter except in the optional coordinate export.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-# The one scalar type of the certification path.  fractions.Fraction already
-# guarantees the canonical form we need: positive denominator, gcd-reduced.
-Rational = Fraction
 
 
 class DimensionError(ValueError):
@@ -26,8 +22,8 @@ class DomainError(ValueError):
     """A value lies outside the mathematically admissible domain."""
 
 
-def parse_rational(token: str) -> Rational:
-    """A p/q (or plain decimal) token as a Rational; malformed tokens are a DomainError.
+def parse_rational(token: str) -> Fraction:
+    """A p/q (or plain decimal) token as a Fraction; malformed tokens are a DomainError.
 
     Exponent notation is rejected: 1e29999999 would expand to a huge integer.
     """
@@ -41,9 +37,9 @@ def parse_rational(token: str) -> Rational:
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Immutable symmetric matrix with Rational entries."""
+    """Immutable symmetric matrix with Fraction entries."""
 
-    entries: tuple[tuple[Rational, ...], ...]
+    entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
         n = len(self.entries)
@@ -59,11 +55,8 @@ class SymMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def trace(self) -> Rational:
-        return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
 
-
-def frobenius_inner(a: SymMatrix, b: SymMatrix) -> Rational:
+def frobenius_inner(a: SymMatrix, b: SymMatrix) -> Fraction:
     """Entrywise product sum over the full square, exact."""
     if a.n != b.n:
         raise DimensionError(f"orders {a.n} and {b.n} differ")

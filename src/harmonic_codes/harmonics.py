@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError, Rational
+from .exact import DomainError
 
 
 def harmonic_dimension(d: int, k: int) -> int:
@@ -39,13 +39,13 @@ def harmonic_dimension(d: int, k: int) -> int:
 class GegenbauerPoly:
     """Degree-k Gegenbauer polynomial for S^d, normalized to 1 at t = 1.
 
-    coeffs holds k+1 Rational coefficients, constant term first.  Only
+    coeffs holds k+1 Fraction coefficients, constant term first.  Only
     every other coefficient can be nonzero (the polynomial has the parity
     of its degree).
     """
 
     d: int
-    coeffs: tuple[Rational, ...]
+    coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         # Powers k-1, k-3, ... must vanish; the rest then sum to the value at
@@ -60,7 +60,7 @@ class GegenbauerPoly:
         """The degree."""
         return len(self.coeffs) - 1
 
-    def evaluate(self, t: int | Rational) -> Rational:
+    def evaluate(self, t: int | Fraction) -> Fraction:
         """Exact Horner evaluation."""
         t = Fraction(t)
         acc = Fraction(0)

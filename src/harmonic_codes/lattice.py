@@ -2,7 +2,7 @@
 
 Points are stored as integer coordinate vectors at a declared scale, so
 that every normalized inner product (p.q)/norm_sq_scaled is an exact
-Rational.  The 240 E8 roots are generated in the even coordinate system
+Fraction.  The 240 E8 roots are generated in the even coordinate system
 (lattice norm^2 = 2) and multiplied by 2 so the half-integer shape
 becomes integral: stored norms are all 8.
 """
@@ -17,10 +17,10 @@ from itertools import combinations, product
 from operator import mul
 from typing import Dict
 
-from .exact import Rational, StructureError
+from .exact import StructureError
 
 # Normalized inner-product value -> count over ordered distinct pairs.
-Spectrum = Dict[Rational, int]
+Spectrum = Dict[Fraction, int]
 
 
 def scaled_dot(p: tuple[int, ...], q: tuple[int, ...]) -> int:
@@ -57,7 +57,7 @@ class LatticeCode:
     def __len__(self) -> int:
         return len(self.points)
 
-    def normalized_inner(self, i: int, j: int) -> Rational:
+    def normalized_inner(self, i: int, j: int) -> Fraction:
         """Inner product of true points i and j, exact."""
         return Fraction(
             scaled_dot(self.points[i], self.points[j]), self.norm_sq_scaled

@@ -1,7 +1,20 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from harmonic_codes import build_code, certify, generate_e8_roots
-from harmonic_codes.codes import gram_from_embedded
+from harmonic_codes.codes import certify, gram_from_embedded
+from harmonic_codes.embedding import build_code
+from harmonic_codes.lattice import generate_e8_roots
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.fixture(scope="session")
+def readme_certificate():
+    """The README's one fenced json block: `certify`'s output on the E8 roots."""
+    (block,) = re.findall(r"^```json\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    return block
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from harmonic_codes.analyzer import (
     candidate_from_scan,
     candidate_parameters,
-    candidate_to_dict,
     candidate_to_json,
     constant_modulus_scan,
     read_spectrum_file,
-    scan_to_dict,
     scan_to_json,
 )
 from harmonic_codes.exact import DomainError, StructureError
@@ -198,33 +196,32 @@ def test_read_spectrum_file_bad_token():
 
 def test_scan_serialization():
     (result,) = constant_modulus_scan([0, HALF, -HALF], 7, [2])
-    d = scan_to_dict(result)
+    line = scan_to_json(result)
+    assert line.endswith("\n")
+    d = json.loads(line)
     assert list(d) == ["d", "k", "harmonic_dim", "image", "constant_modulus", "modulus"]
     assert d["image"] == {"-1/2": "1/7", "0": "-1/7", "1/2": "1/7"}
     assert d["modulus"] == "1/7"
-    line = scan_to_json(result)
-    assert line.endswith("\n")
-    assert json.loads(line) == d
 
 
 def test_scan_serialization_no_modulus():
     (result,) = constant_modulus_scan([0, QUARTER, -QUARTER, HALF, -HALF], 23, [2])
-    assert scan_to_dict(result)["modulus"] is None
+    assert json.loads(scan_to_json(result))["modulus"] is None
 
 
 def test_candidate_serialization():
     summary = candidate_parameters([0, HALF, -HALF], 7, 2, 240)
-    d = candidate_to_dict(summary)
-    assert d == {
+    line = candidate_to_json(summary)
+    assert line.endswith("\n")
+    assert json.loads(line) == {
         "ambient_dim": 35,
         "n_points": 240,
         "coherence": "1/7",
         "bound": "1/7",
         "constant_modulus": True,
     }
-    assert json.loads(candidate_to_json(summary)) == d
 
 
 def test_candidate_serialization_irrational_bound():
     summary = candidate_parameters([0, QUARTER, -QUARTER, HALF, -HALF], 23, 2, 196560)
-    assert candidate_to_dict(summary)["bound"] == "sqrt(7537/2260417)"
+    assert json.loads(candidate_to_json(summary))["bound"] == "sqrt(7537/2260417)"

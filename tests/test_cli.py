@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from harmonic_codes.cli import main
-from harmonic_codes.codes import certify
+from harmonic_codes.codes import certify, report_to_json
 from harmonic_codes.embedding import build_code, gram_from_text, gram_to_text
 from harmonic_codes.harmonics import gegenbauer_family
 from harmonic_codes.lattice import LatticeCode, code_from_text, code_to_text, generate_e8_roots
@@ -172,11 +172,21 @@ def test_certify_optimal(roots_file, capsys):
     assert report["optimal_antipodal"] is True
 
 
-def test_build_certify_matches_certify(roots_file, capsys):
+def test_build_certify_options_are_usage_errors(roots_file, capsys):
+    # the certificate is `certify`'s alone: build takes no --certify or --t-max
+    for option in (["--certify"], ["--t-max", "3"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["build", "--in", roots_file, *option])
+        assert excinfo.value.code == 64, option
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(option)}" in captured.err
+
+
+def test_readme_certificate_is_certify_output(e8_code, roots_file, readme_certificate, capsys):
+    assert report_to_json(certify(e8_code)) == readme_certificate
     assert main(["certify", "--in", roots_file]) == 0
-    first = capsys.readouterr().out
-    assert main(["build", "--in", roots_file, "--certify"]) == 0
-    assert capsys.readouterr().out == first
+    assert capsys.readouterr().out == readme_certificate
 
 
 def test_certify_non_optimal_exits_one(basis_file, capsys):
@@ -190,7 +200,6 @@ def test_certify_non_optimal_exits_one(basis_file, capsys):
 def test_certify_bytes_are_pinned(roots_file, basis_file, capsys, monkeypatch):
     for argv in (
         ["certify", "--in", roots_file],
-        ["build", "--in", roots_file, "--certify"],
         ["certify", "--in", roots_file, "--threads", "4"],
     ):
         assert main(argv) == 0

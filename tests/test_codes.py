@@ -24,7 +24,6 @@ from harmonic_codes.codes import (
     gram_spectrum,
     max_coherence,
     quadratic_bound,
-    report_to_dict,
     report_to_json,
 )
 from harmonic_codes.embedding import (
@@ -394,7 +393,7 @@ def test_format_helpers():
 
 
 def test_report_dict_key_order(e8_report):
-    assert list(report_to_dict(e8_report)) == [
+    assert list(json.loads(report_to_json(e8_report))) == [
         "ambient_dim",
         "n_points",
         "coherence",

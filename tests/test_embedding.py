@@ -48,7 +48,7 @@ def test_embedded_matrix_of_first_shape(e8_roots):
         assert m.entries[i][i] == expected
     assert m.entries[0][1] == Fraction(1, 2)
     assert m.entries[0][2] == 0
-    assert m.trace() == 0
+    assert sum(m.entries[i][i] for i in range(m.n)) == 0
 
 
 def test_embedding_identifies_antipodes(e8_roots):
@@ -143,7 +143,7 @@ def test_gram_matches_pointwise_inner(e8_code):
 
 def test_embedded_points_are_equinorm(e8_roots):
     images = [embed_degree2(e8_roots, i) for i in range(240)]
-    assert {m.trace() for m in images} == {0}
+    assert {sum(m.entries[i][i] for i in range(m.n)) for m in images} == {0}
     assert {frobenius_inner(m, m) for m in images} == {Fraction(7, 8)}
 
 
@@ -218,25 +218,12 @@ def test_export_bytes_are_pinned():
     assert _sha256(gram_to_text(code.gram)) == EXACT_GRAM_SHA256
 
 
-# the certificate printed in the README
-README_CERTIFICATE = {
-    "ambient_dim": 35,
-    "n_points": 240,
-    "coherence": "1/7",
-    "spectrum": {"-1": 240, "-1/7": 28560, "1/7": 28560},
-    "bound": "1/7",
-    "frame_sum": "11520/7",
-    "frame_bound": "11520/7",
-    "design_strength": 3,
-    "optimal_antipodal": True,
-}
-
-
 class _MatrixBuilt(Exception):
     pass
 
 
-def test_certificates_build_no_matrices(e8_roots, tmp_path, capsys, monkeypatch):
+def test_certificates_build_no_matrices(e8_roots, readme_certificate, tmp_path, capsys, monkeypatch):
+    readme = json.loads(readme_certificate)
     path = tmp_path / "e8.code"
     path.write_text(code_to_text(e8_roots), encoding="utf-8")
 
@@ -245,9 +232,9 @@ def test_certificates_build_no_matrices(e8_roots, tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(embedding, "embed_degree2", refuse)
     code = build_code(e8_roots)
-    assert json.loads(report_to_json(certify(code))) == README_CERTIFICATE
+    assert json.loads(report_to_json(certify(code))) == readme
     assert main(["certify", "--in", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out) == README_CERTIFICATE
+    assert json.loads(capsys.readouterr().out) == readme
     # the float export is written from the integer representatives alone
     assert _sha256(float_code_to_text(code)) == FLOAT_EXPORT_SHA256
     assert main(["export", "--float", "--in", str(path)]) == 0

@@ -137,11 +137,6 @@ def test_symmatrix_rejects_non_square():
         _sym([[1, 2, 3], [2, 1, 3]])
 
 
-def test_trace():
-    m = _sym([[Fraction(1, 3), 0], [0, Fraction(2, 3)]])
-    assert m.trace() == 1
-
-
 def test_parse_rational_tokens():
     assert parse_rational("-3/6") == Fraction(-1, 2)
     assert parse_rational("0.25") == Fraction(1, 4)
