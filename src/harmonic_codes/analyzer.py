@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, TextIO
 
 from .codes import QuadraticBound, format_bound, quadratic_bound
-from .exact import DomainError, parse_rational
+from .embedding import parse_rational
 # gegenbauer stays importable here: bench/run.py shims it by name.
 from .harmonics import gegenbauer, gegenbauer_family, harmonic_dimension
 
@@ -51,12 +51,12 @@ def _checked_values(values: Iterable[int | Fraction]) -> list[Fraction]:
     for v in values:
         v = Fraction(v)
         if not -1 <= v <= 1:
-            raise DomainError(f"inner-product value {v} outside [-1, 1]")
+            raise ValueError(f"inner-product value {v} outside [-1, 1]")
         if abs(v) == 1:
-            raise DomainError("values +-1 are self or antipodal products, not admissible")
+            raise ValueError("values +-1 are self or antipodal products, not admissible")
         out.append(v)
     if not out:
-        raise DomainError("empty value set")
+        raise ValueError("empty value set")
     return sorted(set(out))
 
 

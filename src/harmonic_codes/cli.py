@@ -26,8 +26,7 @@ from .codes import (
     quadratic_bound,
     report_to_json,
 )
-from .embedding import build_code, float_code_to_text, gram_to_text
-from .exact import parse_rational
+from .embedding import build_code, float_code_to_text, gram_to_text, parse_rational
 from .harmonics import gegenbauer, harmonic_dimension
 from .lattice import code_from_text, code_to_text, generate_e8_roots
 
@@ -139,8 +138,6 @@ def cmd_export(args) -> int:
 def _add_input_options(sub) -> None:
     sub.add_argument("--in", dest="infile", required=True,
                      help="lattice code file, or - for stdin")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility and ignored")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,6 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build and print the full certificate")
     _add_input_options(p)
     p.add_argument("--t-max", type=int, default=3)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility and ignored")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("bound", help="coherence lower bound for antipodal codes")

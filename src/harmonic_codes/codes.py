@@ -22,8 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .exact import DomainError, StructureError, SymMatrix
-from .embedding import EmbeddedCode
+from .embedding import EmbeddedCode, SymMatrix
 # gegenbauer stays importable here: bench/run.py shims it by name.
 from .harmonics import gegenbauer, gegenbauer_family
 from .lattice import Spectrum
@@ -37,7 +36,7 @@ class GramView(SymMatrix):
         super().__post_init__()
         for i, row in enumerate(self.entries):
             if row[i] != 1:
-                raise StructureError(f"diagonal entry {i} is not 1")
+                raise ValueError(f"diagonal entry {i} is not 1")
 
     @cached_property
     def histogram(self) -> Counter:
@@ -140,7 +139,7 @@ def max_coherence(g: Histogrammed) -> Fraction:
     """
     values = g.histogram.keys() - {-1}
     if not values:
-        raise DomainError("no admissible pair to take coherence over")
+        raise ValueError("no admissible pair to take coherence over")
     return max(abs(v) for v in values)
 
 
@@ -153,7 +152,7 @@ def frame_bound_check(g: Histogrammed, dim: int) -> FrameCheck:
     frames.
     """
     if dim < 1:
-        raise DomainError("dimension must be positive")
+        raise ValueError("dimension must be positive")
     # each diagonal entry is 1, so the diagonal contributes n
     frame_sum = sum((v * v * c for v, c in g.histogram.items()), Fraction(g.n))
     return FrameCheck(frame_sum, Fraction(g.n * g.n, dim))
@@ -168,11 +167,11 @@ def quadratic_bound(n: int, dim: int) -> QuadraticBound:
     zero, as its radicand; its value is the rational square root, if any.
     """
     if n % 2 != 0:
-        raise StructureError("antipodal codes have an even number of points")
+        raise ValueError("antipodal codes have an even number of points")
     if n < 4:
-        raise DomainError("need at least two antipodal pairs")
+        raise ValueError("need at least two antipodal pairs")
     if dim < 1:
-        raise DomainError("dimension must be positive")
+        raise ValueError("dimension must be positive")
     return QuadraticBound(max(Fraction(0), (Fraction(n, dim) - 2) / (n - 2)))
 
 
@@ -184,7 +183,7 @@ def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:
     pairs.  A spherical t-design makes the first t residuals exactly zero.
     """
     if t_max < 1:
-        raise DomainError("t_max must be at least 1")
+        raise ValueError("t_max must be at least 1")
     # each diagonal entry is 1 and P_k(1) = 1 (GegenbauerPoly checks this
     # normalization), so the diagonal contributes n to every residual
     return DesignCheck(tuple(

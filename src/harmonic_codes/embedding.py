@@ -9,6 +9,10 @@ inner products of absolute value 1/7.  A built code therefore takes its Gram
 values from integer dot products, and the float export writes each point's
 coordinates in closed form from its integer vector; the explicit matrices
 (embed_degree2) are the independent witness the tests compare against.
+
+The matrix model lives here too (the symmetric matrix a Gram view is built
+on, its Frobenius product) with the p/q token parser; malformed input raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -21,9 +25,53 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List
 
-from .exact import StructureError, SymMatrix, frobenius_inner, parse_rational
 from .harmonics import GegenbauerPoly, gegenbauer, harmonic_dimension
 from .lattice import LatticeCode, scaled_dot, select_antipodal_representatives, spectrum
+
+
+def parse_rational(token: str) -> Fraction:
+    """A p/q (or plain decimal) token as a Fraction; malformed tokens are a ValueError.
+
+    Exponent notation is rejected: 1e29999999 would expand to a huge integer.
+    """
+    if "e" in token or "E" in token:
+        raise ValueError(f"exponent notation is not accepted: {token!r}")
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational token {token!r}") from exc
+
+
+@dataclass(frozen=True)
+class SymMatrix:
+    """Immutable symmetric matrix with Fraction entries."""
+
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.entries)
+        for row in self.entries:
+            if len(row) != n:
+                raise ValueError("matrix is not square")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if self.entries[i][j] != self.entries[j][i]:
+                    raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+
+def frobenius_inner(a: SymMatrix, b: SymMatrix) -> Fraction:
+    """Entrywise product sum over the full square, exact."""
+    if a.n != b.n:
+        raise ValueError(f"orders {a.n} and {b.n} differ")
+    total = Fraction(0)
+    for row_a, row_b in zip(a.entries, b.entries):
+        for x, y in zip(row_a, row_b):
+            total += x * y
+    return total
 
 
 @dataclass(frozen=True)
@@ -87,7 +135,7 @@ def embed_degree2(code: LatticeCode, index: int) -> SymMatrix:
     Depends only on +-x, so antipodal source points share one matrix.
     """
     if code.ambient_dim < 2:
-        raise StructureError("ambient dimension must be at least 2")
+        raise ValueError("ambient dimension must be at least 2")
     if not 0 <= index < len(code):
         raise IndexError(f"point index {index} out of range")
     p = code.points[index]
@@ -115,7 +163,7 @@ def _integer_flat(matrix: SymMatrix, denom: int) -> tuple[int, ...]:
         for x in row:
             scaled = x * denom
             if scaled.denominator != 1:
-                raise StructureError("common denominator does not clear entries")
+                raise ValueError("common denominator does not clear entries")
             flat.append(scaled.numerator)
     return tuple(flat)
 
@@ -124,9 +172,9 @@ def build_code(roots: LatticeCode) -> EmbeddedCode:
     """Embed an antipodal equinorm code, kept as one point per antipodal pair."""
     reps = select_antipodal_representatives(roots)
     if not reps.points:
-        raise StructureError("code has no points to embed")
+        raise ValueError("code has no points to embed")
     if reps.ambient_dim < 2:
-        raise StructureError("ambient dimension must be at least 2")
+        raise ValueError("ambient dimension must be at least 2")
     return EmbeddedCode(reps)
 
 
@@ -185,20 +233,20 @@ def gram_to_text(gram: tuple[tuple[Fraction, ...], ...]) -> str:
 def gram_from_text(text: str) -> tuple[tuple[Fraction, ...], ...]:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
-        raise StructureError("empty gram file")
+        raise ValueError("empty gram file")
     try:
         n = int(lines[0])
     except ValueError as exc:
-        raise StructureError(f"bad gram header {lines[0]!r}") from exc
+        raise ValueError(f"bad gram header {lines[0]!r}") from exc
     if len(lines) != n + 1:
-        raise StructureError(f"expected {n} gram rows, found {len(lines) - 1}")
+        raise ValueError(f"expected {n} gram rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
         try:
             row = tuple(parse_rational(tok) for tok in line.split())
         except ValueError as exc:
-            raise StructureError("bad rational token in gram row") from exc
+            raise ValueError("bad rational token in gram row") from exc
         if len(row) != n:
-            raise StructureError("gram row has wrong length")
+            raise ValueError("gram row has wrong length")
         rows.append(row)
     return tuple(rows)

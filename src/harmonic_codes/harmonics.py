@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError
-
 
 def harmonic_dimension(d: int, k: int) -> int:
     """Dimension of the space of degree-k spherical harmonics on S^d.
@@ -27,9 +25,9 @@ def harmonic_dimension(d: int, k: int) -> int:
     has dimension 1.
     """
     if d < 1:
-        raise DomainError("sphere dimension must be >= 1")
+        raise ValueError("sphere dimension must be >= 1")
     if k < 0:
-        raise DomainError("degree must be >= 0")
+        raise ValueError("degree must be >= 0")
     if k == 0:
         return 1
     return math.comb(d + k, d) - math.comb(d + k - 2, d)
@@ -51,9 +49,9 @@ class GegenbauerPoly:
         # Powers k-1, k-3, ... must vanish; the rest then sum to the value at
         # t = 1, which is 0 for an empty tuple.
         if any(self.coeffs[-2::-2]):
-            raise DomainError("coefficient of the wrong parity for the degree")
+            raise ValueError("coefficient of the wrong parity for the degree")
         if sum(self.coeffs[::-2]) != 1:
-            raise DomainError("polynomial is not normalized at t = 1")
+            raise ValueError("polynomial is not normalized at t = 1")
 
     @property
     def k(self) -> int:
@@ -79,9 +77,9 @@ def gegenbauer_family(d: int, k_max: int) -> tuple[GegenbauerPoly, ...]:
     T_j = 2t T_{j-1} - T_{j-2}.  Member k of the result has degree k.
     """
     if d < 1:
-        raise DomainError("sphere dimension must be >= 1")
+        raise ValueError("sphere dimension must be >= 1")
     if k_max < 0:
-        raise DomainError("degree must be >= 0")
+        raise ValueError("degree must be >= 0")
     family = [[Fraction(1)], [Fraction(0), Fraction(1)]]
     for j in range(2, k_max + 1):
         prev2, prev1 = family[-2], family[-1]

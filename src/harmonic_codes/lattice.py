@@ -17,8 +17,6 @@ from itertools import combinations, product
 from operator import mul
 from typing import Dict
 
-from .exact import StructureError
-
 # Normalized inner-product value -> count over ordered distinct pairs.
 Spectrum = Dict[Fraction, int]
 
@@ -43,15 +41,15 @@ class LatticeCode:
 
     def __post_init__(self) -> None:
         if self.ambient_dim < 1 or self.scale < 1 or self.norm_sq_scaled < 1:
-            raise StructureError("dimensions, scale and norm must be positive")
+            raise ValueError("dimensions, scale and norm must be positive")
         seen = set()
         for p in self.points:
             if len(p) != self.ambient_dim:
-                raise StructureError(f"point {p} has wrong dimension")
+                raise ValueError(f"point {p} has wrong dimension")
             if scaled_dot(p, p) != self.norm_sq_scaled:
-                raise StructureError(f"point {p} is not of the declared norm")
+                raise ValueError(f"point {p} is not of the declared norm")
             if p in seen:
-                raise StructureError(f"duplicate point {p}")
+                raise ValueError(f"duplicate point {p}")
             seen.add(p)
 
     def __len__(self) -> int:
@@ -92,14 +90,14 @@ def generate_e8_roots() -> LatticeCode:
 def select_antipodal_representatives(code: LatticeCode) -> LatticeCode:
     """One point from each antipodal pair, keeping the lexicographically larger.
 
-    Raises StructureError naming the first point whose negation is missing.
+    Raises ValueError naming the first point whose negation is missing.
     """
     point_set = set(code.points)
     kept = []
     for p in code.points:
         neg = tuple(-c for c in p)
         if neg not in point_set:
-            raise StructureError(f"point {p} has no antipode in the code")
+            raise ValueError(f"point {p} has no antipode in the code")
         if p > neg:
             kept.append(p)
     return LatticeCode(
@@ -113,7 +111,7 @@ def select_antipodal_representatives(code: LatticeCode) -> LatticeCode:
 def spectrum(code: LatticeCode) -> Spectrum:
     """Normalized inner-product counts over ordered distinct pairs."""
     if len(code) == 0:
-        raise StructureError("empty code has no spectrum")
+        raise ValueError("empty code has no spectrum")
     counts: Counter[int] = Counter()
     pts = code.points
     for i in range(len(pts)):
@@ -145,23 +143,23 @@ def code_to_text(code: LatticeCode) -> str:
 def code_from_text(text: str) -> LatticeCode:
     lines = text.splitlines()
     if not lines:
-        raise StructureError("empty code file")
+        raise ValueError("empty code file")
     header = lines[0].split()
     if len(header) != 4:
-        raise StructureError("header must be: ambient_dim N scale norm_sq_scaled")
+        raise ValueError("header must be: ambient_dim N scale norm_sq_scaled")
     try:
         ambient_dim, n, scale, norm_sq = (int(tok) for tok in header)
     except ValueError as exc:
-        raise StructureError(f"bad header {lines[0]!r}") from exc
+        raise ValueError(f"bad header {lines[0]!r}") from exc
     if n < 0:
-        raise StructureError(f"point count {n} is negative")
+        raise ValueError(f"point count {n} is negative")
     body = [line for line in lines[1:] if line.strip()]
     if len(body) != n:
-        raise StructureError(f"expected {n} points, found {len(body)}")
+        raise ValueError(f"expected {n} points, found {len(body)}")
     try:
         points = tuple(tuple(int(tok) for tok in line.split()) for line in body)
     except ValueError as exc:
-        raise StructureError("non-integer coordinate") from exc
+        raise ValueError("non-integer coordinate") from exc
     return LatticeCode(
         ambient_dim=ambient_dim,
         scale=scale,

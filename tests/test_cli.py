@@ -414,11 +414,21 @@ def test_stdin_input(roots_file, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("n_points 240\n")
 
 
-def test_threads_flag_and_env(roots_file, capsys, monkeypatch):
+def test_threads_flag_and_env(roots_file, basis_file, capsys, monkeypatch):
+    # --threads is certify's alone, accepted and ignored
+    assert main(["certify", "--in", basis_file]) == 1
+    report = capsys.readouterr().out
+    assert main(["certify", "--in", basis_file, "--threads", "3"]) == 1
+    assert capsys.readouterr().out == report
+    for argv in (["build"], ["design"], ["export", "--exact"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--in", roots_file, "--threads", "3"])
+        assert excinfo.value.code == 64, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --threads 3" in captured.err
     assert main(["build", "--in", roots_file]) == 0
     base = capsys.readouterr().out
-    assert main(["build", "--in", roots_file, "--threads", "3"]) == 0
-    assert capsys.readouterr().out == base
     for value in ("2", "lots"):
         monkeypatch.setenv("HARMONIC_CODES_THREADS", value)
         assert main(["build", "--in", roots_file]) == 0

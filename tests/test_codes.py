@@ -27,13 +27,13 @@ from harmonic_codes.codes import (
     report_to_json,
 )
 from harmonic_codes.embedding import (
+    SymMatrix,
     _integer_flat,
     build_code,
     embed_degree2,
     float_code_to_text,
     normalized_inner,
 )
-from harmonic_codes.exact import DomainError, StructureError, SymMatrix
 from harmonic_codes.harmonics import gegenbauer
 from harmonic_codes.lattice import LatticeCode, select_antipodal_representatives
 
@@ -93,11 +93,11 @@ def test_gram_from_embedded_two_point_pair():
 
 def test_gram_view_validation():
     one, zero = Fraction(1), Fraction(0)
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match="matrix is not square"):
         GramView(entries=((one, zero),))
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match="diagonal entry 1 is not 1"):
         GramView(entries=((one, zero), (zero, Fraction(2))))
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match=r"entries \(0,1\) and \(1,0\) differ"):
         GramView(entries=((one, zero), (Fraction(1, 2), one)))
     ok = ((one, -one), (-one, one))
     # a Gram view is a symmetric matrix: squareness and symmetry are SymMatrix's checks
@@ -131,7 +131,7 @@ def test_max_coherence_repeated_point():
 
 def test_max_coherence_antipodal_flag():
     g = gram_from_embedded(_pair_code())
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="no admissible pair"):
         max_coherence(g)
 
 
@@ -148,8 +148,8 @@ def antipodal_unit_vectors(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(vectors=antipodal_unit_vectors())
-def test_coherence_skips_exactly_the_partner_pairs(vectors):
+@given(vectors=antipodal_unit_vectors(), dim=st.integers(2, 6))
+def test_coherence_skips_exactly_the_partner_pairs(vectors, dim):
     # witness: a double loop over index pairs, skipping each point's partner
     n = len(vectors)
     g = _gram_of_vectors(vectors)
@@ -160,10 +160,15 @@ def test_coherence_skips_exactly_the_partner_pairs(vectors):
         if j != i and j != (i + n // 2) % n
     ]
     if not admissible:
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="no admissible pair"):
             max_coherence(g)
     else:
         assert max_coherence(g) == max(admissible)
+    # P_2 on S^(dim-1) is (dim t^2 - 1)/(dim - 1), so the frame excess is the
+    # k = 2 design residual times (dim - 1)/dim when both folds add the n term
+    frame = frame_bound_check(g, dim)
+    residuals = design_strength(g, dim - 1, 2).residuals
+    assert frame.frame_sum - frame.frame_bound == Fraction(dim - 1, dim) * residuals[1]
 
 
 # --- frame bound ------------------------------------------------------------
@@ -198,7 +203,7 @@ def test_frame_bound_slack_when_dim_larger():
 
 
 def test_frame_bound_rejects_bad_dim():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="dimension must be positive"):
         frame_bound_check(_identity_gram(2), 0)
 
 
@@ -242,11 +247,11 @@ def test_quadratic_bound_irrational():
 
 
 def test_quadratic_bound_rejects_bad_input():
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match="even number of points"):
         quadratic_bound(241, 35)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="need at least two antipodal pairs"):
         quadratic_bound(2, 35)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="dimension must be positive"):
         quadratic_bound(240, 0)
 
 
@@ -318,7 +323,7 @@ def test_design_strength_invariant_under_relabeling():
 
 
 def test_design_strength_rejects_bad_t_max(e8_gram):
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="t_max must be at least 1"):
         design_strength(e8_gram, 34, 0)
 
 
@@ -555,6 +560,9 @@ def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
     optimal = coherence * coherence == bound.radicand
     assert report.optimal_antipodal is optimal
     assert report.passed is (optimal and frame.frame_sum >= frame.frame_bound)
+    # the frame excess is the k = 2 design residual, scaled by (dim - 1)/dim
+    residuals = design_strength(g, dim - 1, 2).residuals
+    assert frame.frame_sum - frame.frame_bound == Fraction(dim - 1, dim) * residuals[1]
     assert code.histogram == g.histogram
     # both histograms count ordered pairs of distinct points: the Gram spectrum
     assert sum(code.histogram.values()) == g.n * (g.n - 1)

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from harmonic_codes.exact import StructureError
 from harmonic_codes.lattice import (
     LatticeCode,
     code_from_text,
@@ -85,7 +84,7 @@ def test_representative_keeps_lexicographically_larger():
 
 def test_representative_selection_rejects_unpaired():
     code = LatticeCode(2, 1, 2, ((1, 1), (-1, -1), (1, -1)))
-    with pytest.raises(StructureError, match=r"\(1, -1\)"):
+    with pytest.raises(ValueError, match=r"point \(1, -1\) has no antipode"):
         select_antipodal_representatives(code)
 
 
@@ -120,11 +119,11 @@ def test_normalized_inner(e8_roots):
 
 
 def test_code_validation():
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match="duplicate point"):
         LatticeCode(2, 1, 1, ((1, 0), (1, 0)))  # duplicate
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match="not of the declared norm"):
         LatticeCode(2, 1, 1, ((1, 0), (1, 1)))  # not equinorm
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match="has wrong dimension"):
         LatticeCode(2, 1, 1, ((1, 0, 0),))  # wrong dimension
 
 
@@ -146,17 +145,17 @@ def test_file_header(e8_roots):
 
 
 def test_bad_files_rejected():
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match="empty code file"):
         code_from_text("")
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match="header must be"):
         code_from_text("2 1 1\n1 0\n")  # short header
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match="expected 2 points, found 1"):
         code_from_text("2 2 1 1\n1 0\n")  # missing point
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match="non-integer coordinate"):
         code_from_text("2 1 1 1\n1 x\n")  # non-integer
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match=r"point \(1, 1\) is not of the declared norm"):
         code_from_text("2 1 1 1\n1 1\n")  # wrong norm
-    with pytest.raises(StructureError, match="point count -1 is negative"):
+    with pytest.raises(ValueError, match="point count -1 is negative"):
         code_from_text("2 -1 1 1\n")
 
 

@@ -4,19 +4,38 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_package_root_loads_no_submodule_and_carries_the_version():
+def _fresh_import(name):
+    """A fresh interpreter imports `name` and prints the harmonic_codes.*
+    modules that loaded, then the module's __version__ (or None)."""
     script = (
-        "import sys, harmonic_codes\n"
+        f"import sys, importlib\nmodule = importlib.import_module({name!r})\n"
         "print(sorted(m for m in sys.modules if m.startswith('harmonic_codes.')))\n"
-        "print(harmonic_codes.__version__)\n"
+        "print(getattr(module, '__version__', None))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    submodules, version = run.stdout.splitlines()
+    return run.stdout.splitlines()
+
+
+def test_package_root_loads_no_submodule_and_carries_the_version():
+    submodules, version = _fresh_import("harmonic_codes")
     assert submodules == "[]"
     # parsed with re: Python 3.10 has no tomllib
     (declared,) = re.findall(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
     assert version == declared
+
+
+@pytest.mark.parametrize("name", ["harmonic_codes.harmonics", "harmonic_codes.lattice"])
+def test_leaf_module_imports_nothing_from_the_package(name):
+    submodules, _ = _fresh_import(name)
+    assert submodules == repr([name])
+
+
+def test_exact_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        import harmonic_codes.exact  # noqa: F401
