@@ -1,8 +1,9 @@
 """Command-line pipeline: generate, build, certify, bound, design, scan, export.
 
 Exit protocol: 0 on success, 1 on domain or certification failures, 2 on
-I/O failures, 64 on usage errors.  `certify` exits 0 only when every
-certificate holds, so CI can treat it as a theorem check.
+I/O failures, 64 on usage errors.  `certify` exits 0 only when the coherence
+meets the quadratic bound and the frame inequality holds, so CI can treat it
+as a theorem check of optimality; design strength is reported, not judged.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ from .lattice import code_from_text, code_to_text, generate_e8_roots
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        # the parser that leaves arguments over reports them, with its own usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

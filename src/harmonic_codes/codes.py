@@ -19,38 +19,38 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
-from .embedding import EmbeddedCode, SymMatrix
+from .embedding import EmbeddedCode, Rows
 # gegenbauer stays importable here: bench/run.py shims it by name.
 from .harmonics import gegenbauer, gegenbauer_family
 from .lattice import Spectrum
 
 
-@dataclass(frozen=True)
-class GramView(SymMatrix):
-    """Symmetric unit-diagonal Fraction matrix: the Gram of a set of unit vectors."""
+class GramView:
+    """Symmetric unit-diagonal Fraction matrix: the Gram of a set of unit vectors.
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for i, row in enumerate(self.entries):
+    One walk validates and counts: squareness first, then symmetry row by row
+    while each row's upper triangle goes into the histogram, doubled so that it
+    counts ordered pairs of distinct points (the Gram spectrum), then the unit
+    diagonal.
+    """
+
+    def __init__(self, entries: Rows) -> None:
+        n = len(entries)
+        if any(len(row) != n for row in entries):
+            raise ValueError("matrix is not square")
+        counts: Counter = Counter()
+        for i, row in enumerate(entries):
+            for j in range(i + 1, n):
+                if row[j] != entries[j][i]:
+                    raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
+            counts.update(row[i + 1:])
+        for i, row in enumerate(entries):
             if row[i] != 1:
                 raise ValueError(f"diagonal entry {i} is not 1")
-
-    @cached_property
-    def histogram(self) -> Counter:
-        """Value counts over ordered pairs of distinct points: the Gram spectrum.
-
-        The only walk over the entries after validation: the upper triangle
-        is counted once and doubled (symmetry is already proved).
-        """
-        counts: Counter = Counter()
-        for i, row in enumerate(self.entries):
-            counts.update(row[i + 1:])
-        for v in counts:
-            counts[v] *= 2
-        return counts
+        self.entries, self.n = entries, n
+        self.histogram = Counter({v: 2 * c for v, c in counts.items()})
 
 
 class FrameCheck(NamedTuple):

@@ -10,8 +10,8 @@ values from integer dot products, and the float export writes each point's
 coordinates in closed form from its integer vector; the explicit matrices
 (embed_degree2) are the independent witness the tests compare against.
 
-The matrix model lives here too (the symmetric matrix a Gram view is built
-on, its Frobenius product) with the p/q token parser; malformed input raises
+The matrix model lives here too, as plain tuples of Fraction rows, with its
+Frobenius product and the p/q token parser; malformed input raises
 ValueError.
 """
 
@@ -42,33 +42,16 @@ def parse_rational(token: str) -> Fraction:
         raise ValueError(f"bad rational token {token!r}") from exc
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Immutable symmetric matrix with Fraction entries."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+# A matrix as its tuple of Fraction rows: the exact Gram and the degree-2 images.
+Rows = tuple[tuple[Fraction, ...], ...]
 
 
-def frobenius_inner(a: SymMatrix, b: SymMatrix) -> Fraction:
+def frobenius_inner(a: Rows, b: Rows) -> Fraction:
     """Entrywise product sum over the full square, exact."""
-    if a.n != b.n:
-        raise ValueError(f"orders {a.n} and {b.n} differ")
+    if len(a) != len(b):
+        raise ValueError(f"orders {len(a)} and {len(b)} differ")
     total = Fraction(0)
-    for row_a, row_b in zip(a.entries, b.entries):
+    for row_a, row_b in zip(a, b):
         for x, y in zip(row_a, row_b):
             total += x * y
     return total
@@ -118,7 +101,7 @@ class EmbeddedCode:
         return counts
 
     @cached_property
-    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+    def gram(self) -> Rows:
         """The exact 2N x 2N Gram, through one map from integer dot products to g2."""
         pts, norm = self.reps.points, self.reps.norm_sq_scaled
         dots = [[scaled_dot(p, q) for q in pts] for p in pts]
@@ -129,7 +112,7 @@ class EmbeddedCode:
         return top + bottom
 
 
-def embed_degree2(code: LatticeCode, index: int) -> SymMatrix:
+def embed_degree2(code: LatticeCode, index: int) -> Rows:
     """Matrix model M_x of the degree-2 kernel element at one code point.
 
     Depends only on +-x, so antipodal source points share one matrix.
@@ -141,25 +124,24 @@ def embed_degree2(code: LatticeCode, index: int) -> SymMatrix:
     p = code.points[index]
     n = code.norm_sq_scaled
     m = code.ambient_dim
-    entries = tuple(
+    return tuple(
         tuple(
             Fraction(p[i] * p[j], n) - (Fraction(1, m) if i == j else 0)
             for j in range(m)
         )
         for i in range(m)
     )
-    return SymMatrix(entries)
 
 
-def normalized_inner(a: SymMatrix, b: SymMatrix) -> Fraction:
+def normalized_inner(a: Rows, b: Rows) -> Fraction:
     """Frobenius inner product, normalized to 1 on the diagonal."""
     return frobenius_inner(a, b) / frobenius_inner(a, a)
 
 
-def _integer_flat(matrix: SymMatrix, denom: int) -> tuple[int, ...]:
+def _integer_flat(matrix: Rows, denom: int) -> tuple[int, ...]:
     """Entries of denom * matrix flattened row-major; denom clears them all."""
     flat = []
-    for row in matrix.entries:
+    for row in matrix:
         for x in row:
             scaled = x * denom
             if scaled.denominator != 1:
@@ -221,7 +203,7 @@ def float_code_to_text(code: EmbeddedCode) -> str:
     return out.getvalue()
 
 
-def gram_to_text(gram: tuple[tuple[Fraction, ...], ...]) -> str:
+def gram_to_text(gram: Rows) -> str:
     """Header `N`, then N lines of N exact rational tokens."""
     out = io.StringIO()
     out.write(f"{len(gram)}\n")
@@ -230,7 +212,7 @@ def gram_to_text(gram: tuple[tuple[Fraction, ...], ...]) -> str:
     return out.getvalue()
 
 
-def gram_from_text(text: str) -> tuple[tuple[Fraction, ...], ...]:
+def gram_from_text(text: str) -> Rows:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty gram file")

@@ -476,6 +476,23 @@ def test_unknown_subcommand_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unrecognized_arguments_name_their_parser(capsys, monkeypatch):
+    # leftovers after a subcommand are that subcommand's; before it, the root's
+    for argv, prog, leftover in (
+        (["build", "--in", "-", "--threads", "3"], "harmonic-codes build", "--threads 3"),
+        (["--bogus", "build", "--in", "-"], "harmonic-codes", "--bogus"),
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(SQUARE))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 64, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, *_, message = captured.err.splitlines()
+        assert usage.startswith(f"usage: {prog} [-h]"), argv
+        assert message == f"{prog}: error: unrecognized arguments: {leftover}", argv
+
+
 def test_missing_required_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["dim", "-d", "7"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from harmonic_codes.analyzer import candidate_from_scan, constant_modulus_scan
 from harmonic_codes.codes import (
     CodeReport,
     DesignCheck,
@@ -27,7 +28,6 @@ from harmonic_codes.codes import (
     report_to_json,
 )
 from harmonic_codes.embedding import (
-    SymMatrix,
     _integer_flat,
     build_code,
     embed_degree2,
@@ -35,7 +35,7 @@ from harmonic_codes.embedding import (
     normalized_inner,
 )
 from harmonic_codes.harmonics import gegenbauer
-from harmonic_codes.lattice import LatticeCode, select_antipodal_representatives
+from harmonic_codes.lattice import LatticeCode, select_antipodal_representatives, spectrum
 
 
 def _pair_code():
@@ -93,15 +93,14 @@ def test_gram_from_embedded_two_point_pair():
 
 def test_gram_view_validation():
     one, zero = Fraction(1), Fraction(0)
-    with pytest.raises(ValueError, match="matrix is not square"):
-        GramView(entries=((one, zero),))
+    for rows in (((one, zero),), ((1, 2, 3), (2, 1, 3))):
+        with pytest.raises(ValueError, match="matrix is not square"):
+            GramView(entries=rows)
     with pytest.raises(ValueError, match="diagonal entry 1 is not 1"):
         GramView(entries=((one, zero), (zero, Fraction(2))))
-    with pytest.raises(ValueError, match=r"entries \(0,1\) and \(1,0\) differ"):
-        GramView(entries=((one, zero), (Fraction(1, 2), one)))
-    ok = ((one, -one), (-one, one))
-    # a Gram view is a symmetric matrix: squareness and symmetry are SymMatrix's checks
-    assert isinstance(GramView(entries=ok), SymMatrix)
+    for rows in (((one, zero), (Fraction(1, 2), one)), ((1, 2), (3, 4))):
+        with pytest.raises(ValueError, match=r"entries \(0,1\) and \(1,0\) differ"):
+            GramView(entries=rows)
 
 
 # --- coherence --------------------------------------------------------------
@@ -353,7 +352,7 @@ def test_certify_orthonormal_plus_minus():
     def unit(i, j):
         entries = [[Fraction(0)] * 3 for _ in range(3)]
         entries[i][j] = entries[j][i] = Fraction(1)
-        return SymMatrix(tuple(map(tuple, entries)))
+        return tuple(map(tuple, entries))
 
     mats = [unit(0, 1), unit(0, 2), unit(1, 2)]
     # point i + 3 is the sign flip of point i
@@ -567,6 +566,12 @@ def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
     # both histograms count ordered pairs of distinct points: the Gram spectrum
     assert sum(code.histogram.values()) == g.n * (g.n - 1)
     assert code.histogram == gram_spectrum(g)
+    # the degree-2 scan candidate over the representatives' spectrum is the certificate
+    (scan,) = constant_modulus_scan(spectrum(code.reps), roots.ambient_dim - 1, [2])
+    candidate = candidate_from_scan(scan, code.n)
+    assert (scan.harmonic_dim, candidate.n_points) == (report.ambient_dim, report.n_points)
+    assert candidate.coherence == report.coherence_a
+    assert candidate.bound == report.bound
     # the closed-form float export against the same explicit Frobenius Gram
     rows = [[float(x) for x in line.split()] for line in float_code_to_text(code).splitlines()[1:]]
     half = len(rows) // 2

@@ -45,10 +45,10 @@ def test_embedded_matrix_of_first_shape(e8_roots):
     m = embed_degree2(e8_roots, idx)
     for i in range(8):
         expected = Fraction(3, 8) if i < 2 else Fraction(-1, 8)
-        assert m.entries[i][i] == expected
-    assert m.entries[0][1] == Fraction(1, 2)
-    assert m.entries[0][2] == 0
-    assert sum(m.entries[i][i] for i in range(m.n)) == 0
+        assert m[i][i] == expected
+    assert m[0][1] == Fraction(1, 2)
+    assert m[0][2] == 0
+    assert sum(m[i][i] for i in range(len(m))) == 0
 
 
 def test_embedding_identifies_antipodes(e8_roots):
@@ -143,7 +143,7 @@ def test_gram_matches_pointwise_inner(e8_code):
 
 def test_embedded_points_are_equinorm(e8_roots):
     images = [embed_degree2(e8_roots, i) for i in range(240)]
-    assert {sum(m.entries[i][i] for i in range(m.n)) for m in images} == {0}
+    assert {sum(m[i][i] for i in range(len(m))) for m in images} == {0}
     assert {frobenius_inner(m, m) for m in images} == {Fraction(7, 8)}
 
 
