@@ -2,17 +2,17 @@
 
 A sphere point x is sent to M_x = (x x^T)/|x|^2 - I/(d+1), a traceless
 symmetric matrix with rational entries whenever x has integer scaled
-coordinates.  Normalized Frobenius inner products of these matrices
-reproduce the degree-2 Gegenbauer value of the original inner product,
-which is what makes the E8 image an antipodal code with all non-antipodal
-inner products of absolute value 1/7.  A built code therefore takes its Gram
-values from integer dot products, and the float export writes each point's
-coordinates in closed form from its integer vector; the explicit matrices
-(embed_degree2) are the independent witness the tests compare against.
+coordinates.  Flattened over one common denominator they are integer
+vectors whose normalized dot products are the degree-2 Gegenbauer value
+g2 of the source inner product, so the E8 image is an antipodal code with
+all non-antipodal inner products 1/7 in absolute value.  A built code takes
+its Gram values from integer dot products, and the float export writes
+each point's coordinates in closed form from its integer vector; the
+explicit matrices (embed_degree2) are the tests' independent witness.
 
 The matrix model lives here too, as plain tuples of Fraction rows, with its
-Frobenius product and the p/q token parser; malformed input raises
-ValueError.
+integer flattening (_integer_flat, as acceptance criterion 05 uses it) and
+the p/q token parser; malformed input raises ValueError.
 """
 
 from __future__ import annotations
@@ -44,17 +44,6 @@ def parse_rational(token: str) -> Fraction:
 
 # A matrix as its tuple of Fraction rows: the exact Gram and the degree-2 images.
 Rows = tuple[tuple[Fraction, ...], ...]
-
-
-def frobenius_inner(a: Rows, b: Rows) -> Fraction:
-    """Entrywise product sum over the full square, exact."""
-    if len(a) != len(b):
-        raise ValueError(f"orders {len(a)} and {len(b)} differ")
-    total = Fraction(0)
-    for row_a, row_b in zip(a, b):
-        for x, y in zip(row_a, row_b):
-            total += x * y
-    return total
 
 
 @dataclass(frozen=True)
@@ -131,11 +120,6 @@ def embed_degree2(code: LatticeCode, index: int) -> Rows:
         )
         for i in range(m)
     )
-
-
-def normalized_inner(a: Rows, b: Rows) -> Fraction:
-    """Frobenius inner product, normalized to 1 on the diagonal."""
-    return frobenius_inner(a, b) / frobenius_inner(a, a)
 
 
 def _integer_flat(matrix: Rows, denom: int) -> tuple[int, ...]:

@@ -39,10 +39,10 @@ class GegenbauerPoly:
 
     coeffs holds k+1 Fraction coefficients, constant term first.  Only
     every other coefficient can be nonzero (the polynomial has the parity
-    of its degree).
+    of its degree).  The polynomial is its coefficients, so P_0 = 1 and
+    P_1 = t of every S^d compare equal.
     """
 
-    d: int
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
@@ -87,9 +87,7 @@ def gegenbauer_family(d: int, k_max: int) -> tuple[GegenbauerPoly, ...]:
         for i, c in enumerate(prev2):
             cur[i] -= (j - 1) * c
         family.append([c / (j + d - 2) for c in cur])
-    return tuple(
-        GegenbauerPoly(d=d, coeffs=tuple(coeffs)) for coeffs in family[: k_max + 1]
-    )
+    return tuple(GegenbauerPoly(coeffs=tuple(coeffs)) for coeffs in family[: k_max + 1])
 
 
 def gegenbauer(d: int, k: int) -> GegenbauerPoly:

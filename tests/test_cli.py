@@ -435,9 +435,22 @@ def test_threads_flag_and_env(roots_file, basis_file, capsys, monkeypatch):
         assert capsys.readouterr().out == base
 
 
-def test_missing_input_file_exits_two(capsys):
+def test_missing_input_file_exits_two(capsys, monkeypatch):
     assert main(["build", "--in", "/nonexistent/e8.code"]) == 2
     assert "i/o error" in capsys.readouterr().err
+    # the output side: an --out in a missing directory is one i/o error line
+    for text, args in (
+        ("", ["roots"]),
+        ("0\n1/2\n-1/2\n", ["scan", "--in", "-", "-d", "7", "-k", "2"]),
+        (SQUARE, ["export", "--exact", "--in", "-"]),
+    ):
+        out = f"/nonexistent/dir/{args[0]}.txt"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(args + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("harmonic-codes: i/o error: ")
+        assert out in captured.err and captured.err.count("\n") == 1
 
 
 def test_domain_error_exits_one(capsys):

@@ -32,7 +32,6 @@ from harmonic_codes.embedding import (
     build_code,
     embed_degree2,
     float_code_to_text,
-    normalized_inner,
 )
 from harmonic_codes.harmonics import gegenbauer
 from harmonic_codes.lattice import LatticeCode, select_antipodal_representatives, spectrum
@@ -354,12 +353,15 @@ def test_certify_orthonormal_plus_minus():
         entries[i][j] = entries[j][i] = Fraction(1)
         return tuple(map(tuple, entries))
 
-    mats = [unit(0, 1), unit(0, 2), unit(1, 2)]
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    flats = [_integer_flat(unit(i, j), 1) for i, j in ((0, 1), (0, 2), (1, 2))]
     # point i + 3 is the sign flip of point i
-    points = [(s, m) for s in (1, -1) for m in mats]
+    points = [(s, f) for s in (1, -1) for f in flats]
     g = GramView(
         entries=tuple(
-            tuple(s * t * normalized_inner(a, b) for t, b in points) for s, a in points
+            tuple(s * t * Fraction(dot(a, b), dot(a, a)) for t, b in points) for s, a in points
         )
     )
     bound = quadratic_bound(g.n, 3)

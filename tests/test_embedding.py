@@ -11,14 +11,14 @@ from harmonic_codes import embedding
 from harmonic_codes.cli import main
 from harmonic_codes.codes import certify, report_to_json
 from harmonic_codes.embedding import (
+    _integer_flat,
     build_code,
     embed_degree2,
     flatten_coordinates,
     float_code_to_text,
-    frobenius_inner,
     gram_from_text,
     gram_to_text,
-    normalized_inner,
+    parse_rational,
 )
 from harmonic_codes.harmonics import gegenbauer
 from harmonic_codes.lattice import LatticeCode, code_to_text, generate_e8_roots
@@ -38,6 +38,14 @@ def _sha256(text):
 
 def _float_rows(code):
     return [[float(x) for x in line.split()] for line in float_code_to_text(code).splitlines()[1:]]
+
+
+def _witness(code, i, j):
+    """Normalized Frobenius product of the degree-2 matrices of points i and j,
+    as integer dot products over one common denominator (acceptance criterion 05)."""
+    denom = code.norm_sq_scaled * code.ambient_dim
+    a, b = (_integer_flat(embed_degree2(code, t), denom) for t in (i, j))
+    return Fraction(sum(x * y for x, y in zip(a, b)), sum(x * x for x in a))
 
 
 def test_embedded_matrix_of_first_shape(e8_roots):
@@ -60,11 +68,17 @@ def test_embedding_identifies_antipodes(e8_roots):
 def test_embed_index_out_of_range(e8_roots):
     with pytest.raises(IndexError):
         embed_degree2(e8_roots, 240)
+    # the witness's other guards: a denominator that leaves fractions, a 1-D code
+    pair = LatticeCode(3, 1, 1, ((1, 0, 0), (-1, 0, 0)))
+    with pytest.raises(ValueError, match="common denominator does not clear entries"):
+        _integer_flat(embed_degree2(pair, 0), 1)
+    assert _integer_flat(embed_degree2(pair, 0), 3) == (2, 0, 0, 0, -1, 0, 0, 0, -1)
+    with pytest.raises(ValueError, match="ambient dimension must be at least 2"):
+        embed_degree2(LatticeCode(1, 1, 1, ((1,), (-1,))), 0)
 
 
 def test_normalized_inner_self_is_one(e8_roots):
-    a = embed_degree2(e8_roots, 0)
-    assert normalized_inner(a, a) == 1
+    assert _witness(e8_roots, 0, 0) == 1
 
 
 def test_normalized_inner_reproduces_kernel_values(e8_roots):
@@ -75,26 +89,18 @@ def test_normalized_inner_reproduces_kernel_values(e8_roots):
     orth = pts.index((0, 0, 2, 2, 0, 0, 0, 0))  # orthogonal to pts[i]
     assert e8_roots.normalized_inner(i, j) == Fraction(1, 2)
     assert e8_roots.normalized_inner(i, orth) == 0
-    a, b, c = (embed_degree2(e8_roots, t) for t in (i, j, orth))
-    assert normalized_inner(a, b) == Fraction(1, 7)
-    assert normalized_inner(a, c) == Fraction(-1, 7)
-    assert normalized_inner(a, embed_degree2(e8_roots, k)) == Fraction(1, 7)
-
-
-def test_normalized_inner_order_mismatch(e8_roots):
-    small = LatticeCode(2, 1, 1, ((1, 0), (-1, 0)))
-    with pytest.raises(ValueError, match="orders 8 and 2 differ"):
-        normalized_inner(embed_degree2(e8_roots, 0), embed_degree2(small, 0))
+    assert _witness(e8_roots, i, j) == Fraction(1, 7)
+    assert _witness(e8_roots, i, orth) == Fraction(-1, 7)
+    assert _witness(e8_roots, i, k) == Fraction(1, 7)
 
 
 def test_kernel_identity_on_sampled_pairs(e8_roots):
-    # generic Fraction-arithmetic route, independent of the gram fast path
+    # explicit-matrix route, independent of the gram fast path
     g2 = gegenbauer(7, 2)
     rng = random.Random(17)
     for _ in range(150):
         i, j = rng.randrange(240), rng.randrange(240)
-        a, b = embed_degree2(e8_roots, i), embed_degree2(e8_roots, j)
-        assert normalized_inner(a, b) == g2.evaluate(e8_roots.normalized_inner(i, j))
+        assert _witness(e8_roots, i, j) == g2.evaluate(e8_roots.normalized_inner(i, j))
 
 
 def test_build_code_shape(e8_code):
@@ -106,7 +112,7 @@ def test_build_code_shape(e8_code):
     # quadrant of the Gram is +-B, B the Frobenius Gram of the representatives
     for i in (0, 7, 119):
         for j in range(120):
-            b = normalized_inner(embed_degree2(e8_code.reps, i), embed_degree2(e8_code.reps, j))
+            b = _witness(e8_code.reps, i, j)
             assert e8_code.gram[i][j] == e8_code.gram[i + 120][j + 120] == b
             assert e8_code.gram[i + 120][j] == e8_code.gram[i][j + 120] == -b
 
@@ -137,14 +143,13 @@ def test_gram_matches_pointwise_inner(e8_code):
         i, j = rng.randrange(240), rng.randrange(240)
         # point i + 120 is the sign flip of point i
         s = 1 if (i >= 120) == (j >= 120) else -1
-        a, b = embed_degree2(e8_code.reps, i % 120), embed_degree2(e8_code.reps, j % 120)
-        assert e8_code.gram[i][j] == s * normalized_inner(a, b)
+        assert e8_code.gram[i][j] == s * _witness(e8_code.reps, i % 120, j % 120)
 
 
 def test_embedded_points_are_equinorm(e8_roots):
     images = [embed_degree2(e8_roots, i) for i in range(240)]
     assert {sum(m[i][i] for i in range(len(m))) for m in images} == {0}
-    assert {frobenius_inner(m, m) for m in images} == {Fraction(7, 8)}
+    assert {sum(x * x for row in m for x in row) for m in images} == {Fraction(7, 8)}
 
 
 def test_build_code_rejects_non_antipodal():
@@ -195,6 +200,72 @@ def test_gram_text_round_trip(e8_code):
     text = gram_to_text(e8_code.gram)
     assert text.splitlines()[0] == "240"
     assert gram_from_text(text) == e8_code.gram
+
+
+def _euclid_gcd(a, b):
+    a, b = abs(a), abs(b)
+    while b:
+        a, b = b, a % b
+    return a
+
+
+# Byte-identical output relies on Fraction's canonical form: a positive,
+# gcd-reduced denominator, so str() gives one token per value.
+
+
+def test_rat_reduces():
+    r = Fraction(2, 4)
+    assert (r.numerator, r.denominator) == (1, 2)
+
+
+def test_rat_normalizes_sign():
+    assert (Fraction(-3, -6).numerator, Fraction(-3, -6).denominator) == (1, 2)
+    assert str(Fraction(3, -6)) == "-1/2"
+
+
+def test_rat_large_reduction_matches_euclid():
+    # independent oracle: reduce 8160/399840 by the Euclidean algorithm
+    g = _euclid_gcd(8160, 399840)
+    assert g == 8160
+    r = Fraction(8160, 399840)
+    assert (r.numerator, r.denominator) == (8160 // g, 399840 // g) == (1, 49)
+
+
+def test_random_rationals_are_canonical():
+    rng = random.Random(7)
+    for _ in range(300):
+        num = rng.randint(-10**6, 10**6)
+        den = rng.randint(1, 10**6) * rng.choice([-1, 1])
+        r = Fraction(num, den)
+        assert r.denominator > 0
+        assert math.gcd(abs(r.numerator), r.denominator) == 1
+
+
+def test_field_axioms_on_random_rationals():
+    rng = random.Random(11)
+
+    def q():
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+
+    for _ in range(200):
+        a, b, c = q(), q(), q()
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + (-a) == 0
+        if a != 0:
+            assert a * (1 / a) == 1
+
+
+def test_parse_rational_tokens():
+    assert parse_rational("-3/6") == Fraction(-1, 2)
+    assert parse_rational("0.25") == Fraction(1, 4)
+    for token in ("1/0", "x"):
+        with pytest.raises(ValueError, match="bad rational token"):
+            parse_rational(token)
+    for token in ("1e400", "2.5E-3", "1e29999999"):
+        with pytest.raises(ValueError, match="exponent notation is not accepted"):
+            parse_rational(token)
 
 
 def test_gram_text_rejects_malformed():

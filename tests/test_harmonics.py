@@ -111,7 +111,7 @@ def test_recurrence_matches_series_oracle():
         family = gegenbauer_family(d, 16)
         assert len(family) == 17
         for k, poly in enumerate(family):
-            assert (poly.d, poly.k) == (d, k)
+            assert poly.k == k
             assert list(poly.coeffs) == _series_gegenbauer(d, k), (d, k)
             assert poly == gegenbauer(d, k), (d, k)
 
@@ -121,8 +121,12 @@ def test_family_degree_range():
         with pytest.raises(ValueError, match="degree must be >= 0"):
             gegenbauer_family(d, -1)
         (constant,) = gegenbauer_family(d, 0)
-        assert constant == GegenbauerPoly(d=d, coeffs=(Fraction(1),))
+        assert constant == GegenbauerPoly(coeffs=(Fraction(1),))
         assert gegenbauer(d, 0) == constant
+    # a polynomial is its coefficients: P_0 = 1 and P_1 = t for every d
+    assert gegenbauer(1, 1) == gegenbauer(5, 1)
+    assert gegenbauer(3, 0) == gegenbauer(9, 0)
+    assert gegenbauer(7, 2) != gegenbauer(8, 2)
     with pytest.raises(ValueError, match="sphere dimension must be >= 1"):
         gegenbauer_family(0, 3)
 
@@ -179,21 +183,21 @@ def test_circle_family_is_chebyshev():
 
 def test_poly_validation():
     with pytest.raises(ValueError, match="not normalized at t = 1"):
-        GegenbauerPoly(d=7, coeffs=(Fraction(0), Fraction(0), Fraction(2)))
+        GegenbauerPoly(coeffs=(Fraction(0), Fraction(0), Fraction(2)))
     with pytest.raises(ValueError, match="wrong parity"):
-        GegenbauerPoly(d=7, coeffs=(Fraction(-1, 7), Fraction(1, 7), Fraction(1)))
+        GegenbauerPoly(coeffs=(Fraction(-1, 7), Fraction(1, 7), Fraction(1)))
     with pytest.raises(ValueError, match="not normalized at t = 1"):
-        GegenbauerPoly(d=7, coeffs=())
+        GegenbauerPoly(coeffs=())
     for d in (1, 7, 34):
         for poly in gegenbauer_family(d, 12):
             coeffs = list(poly.coeffs)
-            assert GegenbauerPoly(d=d, coeffs=tuple(coeffs)) == poly
+            assert GegenbauerPoly(coeffs=tuple(coeffs)) == poly
             # any one coefficient of the wrong parity for the degree
             for j in range(poly.k - 1, -1, -2):
                 bad = coeffs.copy()
                 bad[j] = Fraction(1, 3)
                 with pytest.raises(ValueError, match="wrong parity"):
-                    GegenbauerPoly(d=d, coeffs=tuple(bad))
+                    GegenbauerPoly(coeffs=tuple(bad))
             # the value at t = 1 is off by one
             with pytest.raises(ValueError, match="not normalized at t = 1"):
-                GegenbauerPoly(d=d, coeffs=tuple(coeffs[:-1] + [coeffs[-1] + 1]))
+                GegenbauerPoly(coeffs=tuple(coeffs[:-1] + [coeffs[-1] + 1]))
