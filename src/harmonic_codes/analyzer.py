@@ -17,7 +17,7 @@ from typing import Iterable, List, Mapping, TextIO
 from .codes import QuadraticBound, format_bound, quadratic_bound
 from .embedding import parse_rational
 # gegenbauer stays importable here: bench/run.py shims it by name.
-from .harmonics import gegenbauer, gegenbauer_family, harmonic_dimension
+from .harmonics import gegenbauer, gegenbauer_values, harmonic_dimension
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,16 @@ def constant_modulus_scan(
     ks = list(k_range)
     if not ks:
         return []
-    family = gegenbauer_family(d, max(ks))
+    columns = {v: gegenbauer_values(d, v, ks) for v in vals}
     results = []
-    for k in ks:
-        harmonic_dim = harmonic_dimension(d, k)  # rejects k < 0 before family[k] can wrap
-        image = {v: family[k].evaluate(v) for v in vals}
+    for i, k in enumerate(ks):
+        image = {v: column[i] for v, column in columns.items()}
         moduli = {abs(g) for g in image.values()}
         results.append(
             ScanResult(
                 d=d,
                 k=k,
-                harmonic_dim=harmonic_dim,
+                harmonic_dim=harmonic_dimension(d, k),
                 image_values=image,
                 modulus=moduli.pop() if len(moduli) == 1 else None,
             )

@@ -28,7 +28,7 @@ from .codes import (
     report_to_json,
 )
 from .embedding import build_code, float_code_to_text, gram_to_text, parse_rational
-from .harmonics import gegenbauer, harmonic_dimension
+from .harmonics import gegenbauer, gegenbauer_values, harmonic_dimension
 from .lattice import code_from_text, code_to_text, generate_e8_roots
 
 
@@ -81,11 +81,12 @@ def cmd_dim(args) -> int:
 
 
 def cmd_gegenbauer(args) -> int:
-    poly = gegenbauer(args.d, args.k)
-    if args.at is not None:
-        print(poly.evaluate(parse_rational(args.at)))
+    if args.at is None:
+        print(" ".join(str(c) for c in gegenbauer(args.d, args.k).coeffs))
     else:
-        print(" ".join(str(c) for c in poly.coeffs))
+        harmonic_dimension(args.d, args.k)  # d and k are rejected before the point is parsed
+        (value,) = gegenbauer_values(args.d, parse_rational(args.at), [args.k])
+        print(value)
     return 0
 
 

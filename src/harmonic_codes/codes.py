@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .embedding import EmbeddedCode, Rows
 # gegenbauer stays importable here: bench/run.py shims it by name.
-from .harmonics import gegenbauer, gegenbauer_family
+from .harmonics import gegenbauer, gegenbauer_values
 from .lattice import Spectrum
 
 
@@ -184,12 +184,14 @@ def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    # each diagonal entry is 1 and P_k(1) = 1 (GegenbauerPoly checks this
-    # normalization), so the diagonal contributes n to every residual
-    return DesignCheck(tuple(
-        sum((c * poly.evaluate(v) for v, c in g.histogram.items()), Fraction(g.n))
-        for poly in gegenbauer_family(d_sphere, t_max)[1:]
-    ))
+    if d_sphere < 1:
+        raise ValueError("sphere dimension must be >= 1")
+    # each diagonal entry is 1 and P_k(1) = 1: the diagonal adds n to every residual
+    residuals = [Fraction(g.n)] * t_max
+    for v, c in g.histogram.items():
+        for i, value in enumerate(gegenbauer_values(d_sphere, v, range(1, t_max + 1))):
+            residuals[i] += c * value
+    return DesignCheck(tuple(residuals))
 
 
 def certify(code: EmbeddedCode, t_max: int = 3) -> CodeReport:

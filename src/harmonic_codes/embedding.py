@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List
 
-from .harmonics import GegenbauerPoly, gegenbauer, harmonic_dimension
+from .harmonics import gegenbauer_values, harmonic_dimension
 from .lattice import LatticeCode, scaled_dot, select_antipodal_representatives, spectrum
 
 
@@ -69,10 +69,10 @@ class EmbeddedCode:
     def ambient_harmonic_dim(self) -> int:
         return harmonic_dimension(self.reps.ambient_dim - 1, 2)
 
-    @cached_property
-    def kernel(self) -> GegenbauerPoly:
+    def kernel(self, t: Fraction) -> Fraction:
         """g2(t) = (m t^2 - 1)/(m - 1), the Gram value of inner product t."""
-        return gegenbauer(self.reps.ambient_dim - 1, 2)
+        (value,) = gegenbauer_values(self.reps.ambient_dim - 1, t, [2])
+        return value
 
     @cached_property
     def histogram(self) -> Counter:
@@ -84,7 +84,7 @@ class EmbeddedCode:
         """
         counts = Counter({Fraction(-1): self.n})
         for t, c in spectrum(self.reps).items():
-            v = self.kernel.evaluate(t)
+            v = self.kernel(t)
             counts[v] += 2 * c
             counts[-v] += 2 * c
         return counts
@@ -94,7 +94,7 @@ class EmbeddedCode:
         """The exact 2N x 2N Gram, through one map from integer dot products to g2."""
         pts, norm = self.reps.points, self.reps.norm_sq_scaled
         dots = [[scaled_dot(p, q) for q in pts] for p in pts]
-        plus = {s: self.kernel.evaluate(Fraction(s, norm)) for s in set().union(*dots)}
+        plus = {s: self.kernel(Fraction(s, norm)) for s in set().union(*dots)}
         minus = {s: -v for s, v in plus.items()}
         top = tuple(tuple([plus[s] for s in row] + [minus[s] for s in row]) for row in dots)
         bottom = tuple(tuple([minus[s] for s in row] + [plus[s] for s in row]) for row in dots)

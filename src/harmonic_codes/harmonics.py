@@ -6,7 +6,8 @@ is exactly 1 (the Chebyshev T_k on the circle, d = 1).  They come from one
 three-term recurrence that keeps this normalization at every step, for
 every d >= 1.  Under this normalization the degree-k polynomial gives the
 inner product of degree-k reproducing-kernel elements attached to two
-sphere points with inner product t.
+sphere points with inner product t.  gegenbauer_values runs the same
+recurrence at a rational point, in integers, and builds no coefficients.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 
 def harmonic_dimension(d: int, k: int) -> int:
@@ -93,3 +95,24 @@ def gegenbauer_family(d: int, k_max: int) -> tuple[GegenbauerPoly, ...]:
 def gegenbauer(d: int, k: int) -> GegenbauerPoly:
     """Normalized degree-k Gegenbauer polynomial for S^d: the last member of its family."""
     return gegenbauer_family(d, k)[-1]
+
+
+def gegenbauer_values(d: int, t: int | Fraction, degrees: Iterable[int]) -> list[Fraction]:
+    """P_k(t) for S^d at each k in degrees, from one run of the recurrence in integers.
+
+    At t = p/q the family's recurrence keeps a_j over q^j d(d+1)...(j+d-2):
+    a_0 = 1, a_1 = p, a_j = (2j+d-3) p a_{j-1} - (j-1)(j+d-3) q^2 a_{j-2}, the
+    factor j+d-3 read as 1 at j = 2.  It raises as gegenbauer_family does.
+    """
+    if d < 1:
+        raise ValueError("sphere dimension must be >= 1")
+    degrees = list(degrees)
+    if min(degrees, default=0) < 0:
+        raise ValueError("degree must be >= 0")
+    p, q = Fraction(t).as_integer_ratio()
+    nums, dens = [1, p], [1, q]
+    for j in range(2, max(degrees, default=0) + 1):
+        step = j + d - 3 if j > 2 else 1
+        nums.append((2 * j + d - 3) * p * nums[-1] - (j - 1) * step * q * q * nums[-2])
+        dens.append(dens[-1] * q * (j + d - 2))
+    return [Fraction(nums[k], dens[k]) for k in degrees]

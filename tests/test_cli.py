@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from harmonic_codes.cli import main
 from harmonic_codes.codes import certify, report_to_json
 from harmonic_codes.embedding import build_code, gram_from_text, gram_to_text
-from harmonic_codes.harmonics import gegenbauer_family
+from harmonic_codes.harmonics import gegenbauer_family, gegenbauer_values
 from harmonic_codes.lattice import LatticeCode, code_from_text, code_to_text, generate_e8_roots
 
 NON_ANTIPODAL_BASIS = """\
@@ -122,6 +123,15 @@ def test_gegenbauer_bad_point_exits_one(capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err == "harmonic-codes: error: bad rational token '1/0'\n"
+    # the sphere, then the degree, are rejected before the point is parsed
+    for args, message in [
+        (["-d", "0", "-k", "2"], "sphere dimension must be >= 1"),
+        (["-d", "7", "-k", "-1"], "degree must be >= 0"),
+    ]:
+        assert main(["gegenbauer", *args, "--at", "1/0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"harmonic-codes: error: {message}\n"
     assert main(["gegenbauer", "-d", "3", "-k", "2", "--at", "1e29999999"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -340,20 +350,30 @@ def test_scan_bytes_are_pinned(capsys, monkeypatch):
 
 
 def test_scan_and_design_run_one_recurrence_each(roots_file, capsys, monkeypatch):
-    # the k = 1..12 sweep with its candidates, and the t = 12 design fold,
-    # each build one Gegenbauer family
-    calls = []
+    # the k = 1..12 sweep with its candidates, and the t = 12 design fold, run
+    # the point recurrence once per value, each to the top degree, and build
+    # no coefficient family
+    runs, families = [], []
 
-    def counted(d, k_max):
-        calls.append((d, k_max))
+    def counted(d, t, degrees):
+        degrees = list(degrees)
+        runs.append((d, t, max(degrees)))
+        return gegenbauer_values(d, t, degrees)
+
+    def family(d, k_max):
+        families.append((d, k_max))
         return gegenbauer_family(d, k_max)
 
-    monkeypatch.setattr("harmonic_codes.analyzer.gegenbauer_family", counted)
-    monkeypatch.setattr("harmonic_codes.codes.gegenbauer_family", counted)
+    monkeypatch.setattr("harmonic_codes.analyzer.gegenbauer_values", counted)
+    monkeypatch.setattr("harmonic_codes.codes.gegenbauer_values", counted)
+    monkeypatch.setattr("harmonic_codes.harmonics.gegenbauer_family", family)
     monkeypatch.setattr("sys.stdin", io.StringIO("0\n1/2\n-1/2\n"))
     assert main(PINNED_SCAN) == 0
+    assert sorted(runs) == [(7, Fraction(-1, 2), 12), (7, 0, 12), (7, Fraction(1, 2), 12)]
+    runs.clear()
     assert main(["design", "--in", roots_file, "--t-max", "12"]) == 0
-    assert calls == [(7, 12), (34, 12)]
+    assert sorted(runs) == [(34, -1, 12), (34, Fraction(-1, 7), 12), (34, Fraction(1, 7), 12)]
+    assert families == []
 
 
 def test_scan_leech_spectrum(tmp_path, capsys):

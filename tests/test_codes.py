@@ -323,6 +323,12 @@ def test_design_strength_invariant_under_relabeling():
 def test_design_strength_rejects_bad_t_max(e8_gram):
     with pytest.raises(ValueError, match="t_max must be at least 1"):
         design_strength(e8_gram, 34, 0)
+    # the sphere is checked even where no histogram value runs the recurrence
+    one_point = GramView(entries=((Fraction(1),),))
+    assert design_strength(one_point, 2, 3).residuals == (1, 1, 1)
+    for g in (e8_gram, one_point):
+        with pytest.raises(ValueError, match="sphere dimension must be >= 1"):
+            design_strength(g, 0, 3)
 
 
 # --- certification ----------------------------------------------------------

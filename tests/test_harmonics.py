@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_codes.harmonics import (
     GegenbauerPoly,
     gegenbauer,
     gegenbauer_family,
+    gegenbauer_values,
     harmonic_dimension,
 )
 
@@ -201,3 +204,51 @@ def test_poly_validation():
             # the value at t = 1 is off by one
             with pytest.raises(ValueError, match="not normalized at t = 1"):
                 GegenbauerPoly(coeffs=tuple(coeffs[:-1] + [coeffs[-1] + 1]))
+
+
+def _horner(coeffs, t):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+@st.composite
+def points(draw):
+    """t = p/q with q <= 50: any p in [-q, q], or 0 or +-(q-1)/q next to the ends."""
+    q = draw(st.integers(1, 50))
+    p = draw(st.one_of(st.sampled_from([0, q - 1, 1 - q]), st.integers(-q, q)))
+    return Fraction(p, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 30), k_max=st.integers(0, 16), t=points(), data=st.data())
+def test_point_values_match_family_and_series(d, k_max, t, data):
+    # the integer point recurrence against the family's Horner values and the
+    # explicit series (Chebyshev's on the circle, where the series degenerates)
+    values = gegenbauer_values(d, t, range(k_max + 1))
+    family = gegenbauer_family(d, k_max)
+    assert len(values) == k_max + 1
+    for k, value in enumerate(values):
+        oracle = _explicit_chebyshev(k) if d == 1 else _series_gegenbauer(d, k)
+        assert value == family[k].evaluate(t) == _horner(oracle, t), (d, k, t)
+    # any degrees, in any order and repeated, read the same run
+    degrees = data.draw(st.lists(st.integers(0, k_max), max_size=6))
+    assert gegenbauer_values(d, t, degrees) == [values[k] for k in degrees]
+
+
+def test_point_values_errors_and_paper_values():
+    assert gegenbauer_values(7, Fraction(1, 2), [2, 3]) == [Fraction(1, 7), Fraction(-1, 28)]
+    assert gegenbauer_values(7, 0, iter([2])) == [Fraction(-1, 7)]
+    assert gegenbauer_values(34, Fraction(1, 7), [12]) == [Fraction(-2231275, 638676537989)]
+    assert gegenbauer_values(1, Fraction(1, 2), range(7)) == [
+        1, Fraction(1, 2), Fraction(-1, 2), -1, Fraction(-1, 2), Fraction(1, 2), 1
+    ]
+    assert gegenbauer_values(5, Fraction(1, 3), []) == []
+    # as in gegenbauer_family: the sphere first, then the degrees
+    with pytest.raises(ValueError, match="sphere dimension must be >= 1"):
+        gegenbauer_values(0, 0, [-1])
+    with pytest.raises(ValueError, match="sphere dimension must be >= 1"):
+        gegenbauer_values(0, 0, [])
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        gegenbauer_values(1, 0, [3, -1])
