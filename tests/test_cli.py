@@ -1,16 +1,28 @@
 import hashlib
 import io
 import json
+import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
 from harmonic_codes.cli import main
-from harmonic_codes.codes import certify, report_to_json
+from harmonic_codes.codes import (
+    GramView,
+    certify,
+    design_strength,
+    frame_bound_check,
+    max_coherence,
+    report_to_json,
+)
 from harmonic_codes.embedding import build_code, gram_from_text, gram_to_text
 from harmonic_codes.harmonics import gegenbauer_family, gegenbauer_values
 from harmonic_codes.lattice import LatticeCode, code_from_text, code_to_text, generate_e8_roots
+
+README_TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 NON_ANTIPODAL_BASIS = """\
 3 6 1 1
@@ -50,6 +62,15 @@ SIGNED_PERMUTATIONS_OF_1_2 = """\
 -2 -1
 """
 
+# The named stdin inputs a row can use; any other stdin is the text itself
+INPUTS = {
+    "e8": code_to_text(generate_e8_roots()),
+    "cross-polytope": NON_ANTIPODAL_BASIS,
+    "square": SQUARE,
+    "two-point": TWO_POINT,
+}
+SUBCOMMANDS = {"roots", "dim", "gegenbauer", "build", "certify", "bound", "design", "scan", "export"}
+
 # sha256 of stdout for a k = 1..12 scan of the E8 spectrum with candidates, and
 # for E8's design residuals up to t = 12: any change to their bytes fails
 PINNED_SCAN_SHA256 = "4355d43f766a1597db922c2807f802eb56dc91b83a52e954997db8596dca2486"
@@ -69,7 +90,7 @@ def _sha256(text):
 @pytest.fixture(scope="module")
 def roots_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "e8.code"
-    path.write_text(code_to_text(generate_e8_roots()), encoding="utf-8")
+    path.write_text(INPUTS["e8"], encoding="utf-8")
     return str(path)
 
 
@@ -78,6 +99,119 @@ def basis_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "basis.code"
     path.write_text(NON_ANTIPODAL_BASIS, encoding="utf-8")
     return str(path)
+
+
+class Row(NamedTuple):
+    """One CLI fact: `harmonic-codes <argv>` on `stdin` exits with `status`.
+
+    With `err` None stderr stays empty and stdout is `out`: the exact text,
+    or a predicate on it.  Only `certify` may do so with a nonzero status: its
+    exit 1 is a verdict, with the JSON on stdout.  Otherwise the run is an
+    error, stdout stays empty and `err` is the message: the one stderr line
+    after `harmonic-codes: error:` (exit 1) or `harmonic-codes: i/o error:`
+    (exit 2), or, for a usage error (exit 64), the last line, after the
+    usage of the subcommand that owns the bad argument.
+    """
+
+    argv: str
+    stdin: str = ""
+    status: int = 0
+    out: str | Callable[[str], bool] = ""
+    err: str | None = None
+
+
+def _json_has(**fields):
+    return lambda out: {key: json.loads(out)[key] for key in fields} == fields
+
+
+def _circle_images(out):
+    # on the circle P_k = T_k: the image of 1/2 is cos(k pi/3), that of 0 is cos(k pi/2)
+    cos_third = ["1", "1/2", "-1/2", "-1", "-1/2", "1/2"]  # by k mod 6
+    cos_half = ["1", "0", "-1", "0"]  # by k mod 4
+    images = [(scan["k"], scan["image"]) for scan in map(json.loads, out.splitlines())]
+    return images == [(k, {"1/2": cos_third[k % 6], "0": cos_half[k % 4]}) for k in range(1, 13)]
+
+
+def _readme_rows():
+    # README's command-line examples: a command that reads and writes no file
+    # documents its stdout after the `#`, `roots --out` documents the header
+    # line, and the one json block is `certify`'s output on the E8 roots
+    rows = [
+        Row(args, out=f"{out}\n")
+        for args, out in re.findall(r"^harmonic-codes ([^#\n]+?) +# (.+)$", README_TEXT, re.M)
+        if {"--in", "--out"}.isdisjoint(args.split())
+    ]
+    (header,) = re.findall(r'^harmonic-codes roots --out .*header "(.+)"$', README_TEXT, re.M)
+    (block,) = re.findall(r"^```json\n(.*?)^```$", README_TEXT, re.M | re.S)
+    return rows + [
+        Row("roots", out=lambda out: out.split("\n", 1)[0] == header),
+        Row("certify --in -", "e8", out=block),
+    ]
+
+
+ROWS = _readme_rows() + [
+    # the degree-2 image of the E8 spectrum is equiangular, and 240 such points meet the bound
+    Row("scan --in - -d 7 -k 2 --n-points 240", "0\n1/2\n-1/2\n", out=(
+        '{"d": 7, "k": 2, "harmonic_dim": 35, "image": {"-1/2": "1/7", "0": "-1/7", "1/2": "1/7"}, '
+        '"constant_modulus": true, "modulus": "1/7"}\n'
+        '{"ambient_dim": 35, "n_points": 240, "coherence": "1/7", "bound": "1/7", "constant_modulus": true}\n'
+    )),
+    # the E8 image is a spherical 3-design
+    Row("design --in - --t-max 3", "e8", out="design_strength 3\nresidual k=1 0\nresidual k=2 0\nresidual k=3 0\n"),
+    Row("scan --in - -d 1 -k 1 --k-max 12", "1/2\n0\n", out=_circle_images),
+    Row("gegenbauer -d 1 -k 12 --at 1/2", out="1\n"),  # T_12(1/2) = cos(4 pi)
+    Row("bound -n 98 --dim 24", out="sqrt(25/1152)\n"),
+    Row("certify --in -", "cross-polytope", 1, _json_has(coherence="1/2", bound="0", optimal_antipodal=False)),
+    # on the circle g2(0) = -1, so non-antipodal pairs carry -1 next to +1: coherence 1
+    Row("certify --in -", "square", 1, _json_has(coherence="1", optimal_antipodal=False)),
+    # certify's exit 1 on bad input is an error, not a verdict
+    Row("certify --in -", "2 2 1 1\n1 0\n0 1\n", 1, err="point (1, 0) has no antipode in the code"),
+    Row("certify --in -", "two-point", 1, err="no admissible pair to take coherence over"),
+    Row("build --in -", "", 1, err="empty code file"),
+    Row("scan --in - -d 7 -k 2", "0\n1e5\n", 1, err="exponent notation is not accepted: '1e5'"),
+    Row("bound -n 241 --dim 35", status=1, err="antipodal codes have an even number of points"),
+    Row("bound -n 240 --dim 0", status=1, err="dimension must be positive"),
+    Row("dim -d 0 -k 2", status=1, err="sphere dimension must be >= 1"),
+    Row("gegenbauer -d 7 -k -1", status=1, err="degree must be >= 0"),
+    Row("gegenbauer -d 7 -k 2 --at 1/0", status=1, err="bad rational token '1/0'"),
+    Row("build --in /nonexistent/e8.code", status=2,
+        err="[Errno 2] No such file or directory: '/nonexistent/e8.code'"),
+    Row("roots --out /nonexistent/dir/e8.code", status=2,
+        err="[Errno 2] No such file or directory: '/nonexistent/dir/e8.code'"),
+    Row("build --in - --threads 3", status=64, err="unrecognized arguments: --threads 3"),
+    Row("roots extra", status=64, err="unrecognized arguments: extra"),
+    Row("certify --in - --threads x", status=64, err="argument --threads: invalid int value: 'x'"),
+    Row("export --in -", status=64, err="one of the arguments --exact --float is required"),
+]
+
+
+def _row_id(row):
+    stdin = row.stdin if row.stdin in INPUTS else " ".join(row.stdin.split())
+    return f"{row.argv} < {stdin}" if stdin else row.argv
+
+
+@pytest.mark.parametrize("row", ROWS, ids=_row_id)
+def test_row(row, capsys, monkeypatch):
+    argv = row.argv.split()
+    monkeypatch.setattr("sys.stdin", io.StringIO(INPUTS.get(row.stdin, row.stdin)))
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    assert status == row.status
+    if row.err is None:
+        assert status == 0 or argv[0] == "certify"
+        assert err == ""
+        assert row.out(out) if callable(row.out) else out == row.out
+    elif status == 64:
+        prog = f"harmonic-codes {argv[0]}" if argv[0] in SUBCOMMANDS else "harmonic-codes"
+        assert out == ""
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert err.splitlines()[-1] == f"{prog}: error: {row.err}"
+    else:
+        assert out == ""
+        assert err == f"harmonic-codes: {'error' if status == 1 else 'i/o error'}: {row.err}\n"
 
 
 def test_roots_to_file(tmp_path, capsys):
@@ -98,31 +232,17 @@ def test_roots_to_stdout_matches_file(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
-def test_dim(capsys):
-    assert main(["dim", "-d", "7", "-k", "2"]) == 0
-    assert capsys.readouterr().out == "35\n"
-
-
 def test_gegenbauer_coefficients(capsys):
-    assert main(["gegenbauer", "-d", "7", "-k", "2"]) == 0
-    assert capsys.readouterr().out == "-1/7 0 8/7\n"
     assert main(["gegenbauer", "-d", "1", "-k", "12"]) == 0
     assert capsys.readouterr().out == "1 0 -72 0 840 0 -3584 0 6912 0 -6144 0 2048\n"
 
 
 def test_gegenbauer_evaluate(capsys):
-    assert main(["gegenbauer", "-d", "7", "-k", "2", "--at", "1/2"]) == 0
-    assert capsys.readouterr().out == "1/7\n"
     assert main(["gegenbauer", "-d", "34", "-k", "2", "--at", "1/7"]) == 0
     assert capsys.readouterr().out == "-1/119\n"
 
 
 def test_gegenbauer_bad_point_exits_one(capsys):
-    assert main(["gegenbauer", "-d", "7", "-k", "2", "--at", "1/0"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    assert captured.err == "harmonic-codes: error: bad rational token '1/0'\n"
     # the sphere, then the degree, are rejected before the point is parsed
     for args, message in [
         (["-d", "0", "-k", "2"], "sphere dimension must be >= 1"),
@@ -139,16 +259,6 @@ def test_gegenbauer_bad_point_exits_one(capsys):
     assert captured.err == (
         "harmonic-codes: error: exponent notation is not accepted: '1e29999999'\n"
     )
-
-
-def test_bound_exact(capsys):
-    assert main(["bound", "-n", "240", "--dim", "35"]) == 0
-    assert capsys.readouterr().out == "1/7\n"
-
-
-def test_bound_irrational(capsys):
-    assert main(["bound", "-n", "98", "--dim", "24"]) == 0
-    assert capsys.readouterr().out == "sqrt(25/1152)\n"
 
 
 @pytest.mark.parametrize(
@@ -193,18 +303,8 @@ def test_build_certify_options_are_usage_errors(roots_file, capsys):
         assert f"unrecognized arguments: {' '.join(option)}" in captured.err
 
 
-def test_readme_certificate_is_certify_output(e8_code, roots_file, readme_certificate, capsys):
+def test_readme_certificate_is_certify_output(e8_code, readme_certificate):
     assert report_to_json(certify(e8_code)) == readme_certificate
-    assert main(["certify", "--in", roots_file]) == 0
-    assert capsys.readouterr().out == readme_certificate
-
-
-def test_certify_non_optimal_exits_one(basis_file, capsys):
-    assert main(["certify", "--in", basis_file]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["coherence"] == "1/2"
-    assert report["bound"] == "0"
-    assert report["optimal_antipodal"] is False
 
 
 def test_certify_bytes_are_pinned(roots_file, basis_file, capsys, monkeypatch):
@@ -416,7 +516,18 @@ def test_export_exact_round_trip(roots_file, tmp_path, capsys, e8_code):
     assert main(["export", "--in", roots_file, "--exact", "--out", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     assert text == gram_to_text(e8_code.gram)
-    assert gram_from_text(text) == e8_code.gram
+    rows = gram_from_text(text)
+    assert rows == e8_code.gram
+    # read back through the checked Gram view, the export certifies again
+    g = GramView(entries=rows)
+    frame = frame_bound_check(g, 35)
+    assert g.n == 240 and max_coherence(g) == Fraction(1, 7)
+    assert frame.frame_sum == frame.frame_bound == Fraction(11520, 7)
+    assert design_strength(g, 34, 3).strength == 3
+    bad = ((rows[0][0], Fraction(1, 3)) + rows[0][2:],) + rows[1:]
+    with pytest.raises(ValueError) as excinfo:
+        GramView(entries=bad)
+    assert str(excinfo.value) == "entries (0,1) and (1,0) differ"
 
 
 def test_export_float_header(roots_file, capsys):
@@ -471,11 +582,6 @@ def test_missing_input_file_exits_two(capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.startswith("harmonic-codes: i/o error: ")
         assert out in captured.err and captured.err.count("\n") == 1
-
-
-def test_domain_error_exits_one(capsys):
-    assert main(["bound", "-n", "241", "--dim", "35"]) == 1
-    assert "error" in capsys.readouterr().err
 
 
 def test_malformed_code_file_exits_one(tmp_path, capsys):

@@ -39,3 +39,14 @@ def test_leaf_module_imports_nothing_from_the_package(name):
 def test_exact_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         import harmonic_codes.exact  # noqa: F401
+
+
+def test_entry_points_run_cli_main():
+    # the console script and `python -m harmonic_codes` both exit with cli.main's status
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (target,) = re.findall(r'^\[project\.scripts\]\nharmonic-codes = "([^"]+)"$', pyproject, re.M)
+    assert target == "harmonic_codes.cli:main"
+    import harmonic_codes.__main__
+    import harmonic_codes.cli
+
+    assert harmonic_codes.__main__.main is harmonic_codes.cli.main
