@@ -5,6 +5,11 @@ that every normalized inner product (p.q)/norm_sq_scaled is an exact
 Fraction.  The 240 E8 roots are generated in the even coordinate system
 (lattice norm^2 = 2) and multiplied by 2 so the half-integer shape
 becomes integral: stored norms are all 8.
+
+A code's spectrum is counted by Kronecker packing, one big-integer product
+per point, in byte fields as wide as the Cauchy-Schwarz bound on the norm
+needs (see spectrum); the double loop over scaled dot products is the
+tests' witness for it.
 """
 
 from __future__ import annotations
@@ -109,19 +114,58 @@ def select_antipodal_representatives(code: LatticeCode) -> LatticeCode:
 
 
 def spectrum(code: LatticeCode) -> Spectrum:
-    """Normalized inner-product counts over ordered distinct pairs."""
+    """Normalized inner-product counts over ordered distinct pairs.
+
+    The N points are packed into one integer as W = 2m - 1 signed slots of
+    `width` bytes each, point j's coordinates at slots jW .. jW + m - 1.  Its
+    product with point i's reversed row holds p_i . p_j at slot jW + m - 1,
+    and every other slot a dot of sub-vectors of p_i and p_j.  By
+    Cauchy-Schwarz and the equinorm premise no slot exceeds n = norm_sq_scaled
+    in absolute value, and `width` is the least byte count with
+    n < half = 2^(8 width - 1); so adding `half` to every slot makes each one
+    a base-256^width digit, and the product's bytes hold the dots with no
+    carry between them.  One product per point i gives its dots with every
+    later point, and their fields are tallied at C speed.
+    """
     if len(code) == 0:
         raise ValueError("empty code has no spectrum")
-    counts: Counter[int] = Counter()
-    pts = code.points
-    for i in range(len(pts)):
-        p = pts[i]
-        for j in range(i + 1, len(pts)):
-            counts[scaled_dot(p, pts[j])] += 1
+    pts, m, norm = code.points, code.ambient_dim, code.norm_sq_scaled
+    width = norm.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    slots = 2 * m - 1
+    size = len(pts) * slots * width
+    coords = set().union(*pts)
+    gap = bytes((m - 1) * width)
+
+    def part(sign: int) -> int:
+        """The points' coordinates of that sign, as magnitudes in their slots."""
+        field = {c: max(sign * c, 0).to_bytes(width, "little") for c in coords}
+        joined = gap.join([b"".join(map(field.__getitem__, p)) for p in pts])
+        return int.from_bytes(joined, "little")
+
+    packed = part(1) - part(-1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * (len(pts) * slots), "little")
+    lanes = [bytearray() for _ in range(width)]  # lane b: byte b of each field
+    for i, p in enumerate(pts):
+        row = 0
+        for c in p:
+            row = (row << 8 * width) + c
+        digits = (packed * row + bias).to_bytes(size, "little")
+        start = ((i + 1) * slots + m - 1) * width
+        for b, lane in enumerate(lanes):
+            lane += digits[start + b :: slots * width]
+    # One-byte fields (n < 128, as for E8 and D16) are counted by
+    # bytearray.count; a wider field is keyed by the tuple of its bytes.
+    if width == 1:
+        (lane,) = lanes
+        fields = {v: lane.count(v) for v in set(lane)}
+    else:
+        fields = {
+            int.from_bytes(bytes(key), "little"): c
+            for key, c in Counter(zip(*lanes)).items()
+        }
     # (p,q) and (q,p) carry the same value, so ordered counts are doubled.
-    return {
-        Fraction(s, code.norm_sq_scaled): 2 * c for s, c in sorted(counts.items())
-    }
+    return {Fraction(v - half, norm): 2 * c for v, c in sorted(fields.items())}
 
 
 # --- line-oriented code file format ----------------------------------------

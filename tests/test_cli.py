@@ -3,7 +3,7 @@ import io
 import json
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -62,9 +62,29 @@ SIGNED_PERMUTATIONS_OF_1_2 = """\
 -2 -1
 """
 
+
+def _dn_roots_text(n):
+    """The 2n(n - 1) roots +-e_i +-e_j of D_n."""
+    points = []
+    for i, j in combinations(range(n), 2):
+        for si, sj in product((-1, 1), repeat=2):
+            v = [0] * n
+            v[i], v[j] = si, sj
+            points.append(tuple(v))
+    return code_to_text(LatticeCode(n, 1, 2, tuple(points)))
+
+
+def _e8_scaled_text():
+    # every coordinate times 8: norm 512 needs a 2-byte field in the pair count
+    e8 = generate_e8_roots()
+    return code_to_text(LatticeCode(8, 16, 512, tuple(tuple(8 * c for c in p) for p in e8.points)))
+
+
 # The named stdin inputs a row can use; any other stdin is the text itself
 INPUTS = {
     "e8": code_to_text(generate_e8_roots()),
+    "e8-scaled": _e8_scaled_text(),
+    "d16": _dn_roots_text(16),
     "cross-polytope": NON_ANTIPODAL_BASIS,
     "square": SQUARE,
     "two-point": TWO_POINT,
@@ -146,6 +166,8 @@ def _readme_rows():
     return rows + [
         Row("roots", out=lambda out: out.split("\n", 1)[0] == header),
         Row("certify --in -", "e8", out=block),
+        # scaling every coordinate keeps every inner product, so the certificate too
+        Row("certify --in -", "e8-scaled", out=block),
     ]
 
 
@@ -161,6 +183,26 @@ ROWS = _readme_rows() + [
     Row("scan --in - -d 1 -k 1 --k-max 12", "1/2\n0\n", out=_circle_images),
     Row("gegenbauer -d 1 -k 12 --at 1/2", out="1\n"),  # T_12(1/2) = cos(4 pi)
     Row("bound -n 98 --dim 24", out="sqrt(25/1152)\n"),
+    # D16's 480 roots: a 135-dimensional image short of its irrational bound
+    Row("certify --in -", "d16", 1, out="""\
+{
+  "ambient_dim": 135,
+  "n_points": 480,
+  "coherence": "1/5",
+  "spectrum": {
+    "-1": 480,
+    "-1/5": 26880,
+    "-1/15": 87840,
+    "1/15": 87840,
+    "1/5": 26880
+  },
+  "bound": "sqrt(7/2151)",
+  "frame_sum": "19456/5",
+  "frame_bound": "5120/3",
+  "design_strength": 1,
+  "optimal_antipodal": false
+}
+"""),
     Row("certify --in -", "cross-polytope", 1, _json_has(coherence="1/2", bound="0", optimal_antipodal=False)),
     # on the circle g2(0) = -1, so non-antipodal pairs carry -1 next to +1: coherence 1
     Row("certify --in -", "square", 1, _json_has(coherence="1", optimal_antipodal=False)),
@@ -182,6 +224,8 @@ ROWS = _readme_rows() + [
     Row("roots extra", status=64, err="unrecognized arguments: extra"),
     Row("certify --in - --threads x", status=64, err="argument --threads: invalid int value: 'x'"),
     Row("export --in -", status=64, err="one of the arguments --exact --float is required"),
+    Row("dim -d 7", status=64, err="the following arguments are required: -k"),
+    Row("--version", out="1.0.0\n"),
 ]
 
 
@@ -324,14 +368,9 @@ def test_certify_bytes_are_pinned(roots_file, basis_file, capsys, monkeypatch):
     assert _sha256(out) == SQUARE_CERTIFY_SHA256
 
 
-def _d4_roots_text():
-    points = tuple(p for p in product((-1, 0, 1), repeat=4) if sum(map(abs, p)) == 2)
-    return code_to_text(LatticeCode(4, 1, 2, points))
-
-
 @pytest.mark.parametrize(
     "make_text",
-    [lambda: code_to_text(generate_e8_roots()), lambda: NON_ANTIPODAL_BASIS, _d4_roots_text],
+    [lambda: code_to_text(generate_e8_roots()), lambda: NON_ANTIPODAL_BASIS, lambda: _dn_roots_text(4)],
     ids=["e8", "cross-polytope-3", "d4-roots"],
 )
 def test_exit_code_is_the_report_verdict(make_text, capsys, monkeypatch):
@@ -630,19 +669,6 @@ def test_unrecognized_arguments_name_their_parser(capsys, monkeypatch):
         usage, *_, message = captured.err.splitlines()
         assert usage.startswith(f"usage: {prog} [-h]"), argv
         assert message == f"{prog}: error: unrecognized arguments: {leftover}", argv
-
-
-def test_missing_required_flag_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["dim", "-d", "7"])
-    assert excinfo.value.code == 64
-
-
-def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--version"])
-    assert excinfo.value.code == 0
-    assert capsys.readouterr().out.strip() == "1.0.0"
 
 
 def test_repeated_runs_are_identical(roots_file, capsys):

@@ -1,8 +1,12 @@
 import io
+import random
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_codes.lattice import (
     LatticeCode,
@@ -88,6 +92,16 @@ def test_representative_selection_rejects_unpaired():
         select_antipodal_representatives(code)
 
 
+def _pair_witness(code):
+    """The spectrum by a double loop over scaled dot products: the packed count's witness."""
+    counts = Counter()
+    pts = code.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            counts[scaled_dot(pts[i], pts[j])] += 1
+    return {Fraction(s, code.norm_sq_scaled): 2 * c for s, c in sorted(counts.items())}
+
+
 def test_spectrum_of_roots(e8_roots):
     spec = spectrum(e8_roots)
     assert spec == {
@@ -104,11 +118,68 @@ def test_spectrum_of_representatives(e8_roots):
     spec = spectrum(reps)
     assert set(spec) <= {Fraction(0), Fraction(1, 2), Fraction(-1, 2)}
     assert sum(spec.values()) == 120 * 119
+    assert spec == _pair_witness(reps)
 
 
 def test_spectrum_single_antipodal_pair():
     code = LatticeCode(2, 1, 1, ((-1, 0), (1, 0)))
     assert spectrum(code) == {Fraction(-1): 2}
+
+
+def _vector_of_norm(n):
+    """A vector of squared norm n: the largest square that fits, then the rest."""
+    v = []
+    while n:
+        v.append(isqrt(n))
+        n -= v[-1] ** 2
+    return tuple(v)
+
+
+def _signed_permutations(base, count, rng):
+    """Up to count distinct signed permutations of base, in drawn order."""
+    return tuple(dict.fromkeys(
+        tuple(rng.choice((-1, 1)) * c for c in rng.sample(base, len(base))) for _ in range(count)
+    ))
+
+
+# A w-byte field holds n < 2^(8w - 1): each side of that bound, and 2^(8w) - 1,
+# which has w bytes but needs a field of w + 1
+WIDTH_BOUNDARIES = [n for w in (1, 2, 3, 8, 9) for n in (2 ** (8 * w - 1) - 1, 2 ** (8 * w - 1), 2 ** (8 * w) - 1)]
+
+
+@st.composite
+def equinorm_codes(draw):
+    """Signed permutations of one integer vector: not antipodal in general."""
+    base = draw(
+        st.one_of(
+            st.lists(st.integers(-12, 12), min_size=1, max_size=6),
+            st.sampled_from(WIDTH_BOUNDARIES).map(_vector_of_norm),
+        ).filter(any)
+    )
+    points = _signed_permutations(base, draw(st.integers(1, 40)), draw(st.randoms(use_true_random=False)))
+    return LatticeCode(len(base), 1, sum(c * c for c in base), points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(equinorm_codes())
+def test_spectrum_matches_pair_witness(code):
+    assert spectrum(code) == _pair_witness(code)
+
+
+@pytest.mark.parametrize("norm", WIDTH_BOUNDARIES)
+def test_spectrum_at_field_width_boundaries(norm):
+    base = _vector_of_norm(norm)
+    code = LatticeCode(len(base), 1, norm, _signed_permutations(base, 100, random.Random(norm)))
+    assert spectrum(code) == _pair_witness(code)
+
+
+def test_spectrum_small_codes():
+    # one point has no pair; on the line the two points are antipodal
+    assert spectrum(LatticeCode(3, 1, 4, ((0, 2, 0),))) == {}
+    assert spectrum(LatticeCode(1, 1, 9, ((3,),))) == {}
+    assert spectrum(LatticeCode(1, 1, 9, ((-3,), (3,)))) == {Fraction(-1): 2}
+    with pytest.raises(ValueError, match="empty code has no spectrum"):
+        spectrum(LatticeCode(2, 1, 1, ()))
 
 
 def test_normalized_inner(e8_roots):
