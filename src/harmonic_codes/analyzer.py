@@ -10,9 +10,8 @@ assumed here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Mapping, TextIO
+from typing import Iterable, Mapping, NamedTuple, TextIO
 
 from .codes import QuadraticBound, format_bound, quadratic_bound
 from .embedding import parse_rational
@@ -20,8 +19,7 @@ from .embedding import parse_rational
 from .harmonics import gegenbauer, gegenbauer_values, harmonic_dimension
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Image of one spectrum under g_k^d with its constancy verdict."""
 
     d: int
@@ -36,8 +34,7 @@ class ScanResult:
         return self.modulus is not None
 
 
-@dataclass(frozen=True)
-class CandidateSummary:
+class CandidateSummary(NamedTuple):
     """Hypothetical embedded-code parameters for a spectrum: its scan, size, coherence, bound."""
 
     scan: ScanResult
@@ -62,7 +59,7 @@ def _checked_values(values: Iterable[int | Fraction]) -> list[Fraction]:
 
 def constant_modulus_scan(
     values: Iterable[int | Fraction], d: int, k_range: Iterable[int]
-) -> List[ScanResult]:
+) -> list[ScanResult]:
     """Evaluate g_k^d on every value for each k and report modulus constancy."""
     vals = _checked_values(values)
     ks = list(k_range)

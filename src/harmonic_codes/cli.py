@@ -13,13 +13,6 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__
-from .analyzer import (
-    candidate_from_scan,
-    candidate_to_json,
-    constant_modulus_scan,
-    read_spectrum_file,
-    scan_to_json,
-)
 from .codes import (
     certify,
     design_strength,
@@ -120,17 +113,20 @@ def cmd_design(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import analyzer  # imported here: no other subcommand needs it
+
     with _text_in(args.infile) as f:
-        values = read_spectrum_file(f)
+        values = analyzer.read_spectrum_file(f)
     k_max = args.k_max if args.k_max is not None else args.k
     if k_max < args.k:
         raise ValueError("--k-max must be >= -k")
     ks = range(args.k, k_max + 1)
     lines = []
-    for result in constant_modulus_scan(values, args.d, ks):
-        lines.append(scan_to_json(result))
+    for result in analyzer.constant_modulus_scan(values, args.d, ks):
+        lines.append(analyzer.scan_to_json(result))
         if args.n_points is not None:
-            lines.append(candidate_to_json(candidate_from_scan(result, args.n_points)))
+            summary = analyzer.candidate_from_scan(result, args.n_points)
+            lines.append(analyzer.candidate_to_json(summary))
     with _text_out(args.out) as out:
         out.write("".join(lines))
     return 0

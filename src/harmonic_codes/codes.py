@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -65,8 +64,7 @@ class FrameCheck(NamedTuple):
         return self.frame_sum >= self.frame_bound
 
 
-@dataclass(frozen=True)
-class QuadraticBound:
+class QuadraticBound(NamedTuple):
     """Lower bound a_min on antipodal-code coherence, kept exact as a_min^2 = radicand >= 0."""
 
     radicand: Fraction
@@ -92,8 +90,7 @@ class DesignCheck(NamedTuple):
         return next((t for t, r in enumerate(self.residuals) if r), len(self.residuals))
 
 
-@dataclass(frozen=True)
-class CodeReport:
+class CodeReport(NamedTuple):
     """Certified parameters of an embedded antipodal code, with its folds' results."""
 
     ambient_dim: int

@@ -20,10 +20,8 @@ from __future__ import annotations
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List
 
 from .harmonics import gegenbauer_values, harmonic_dimension
 from .lattice import LatticeCode, scaled_dot, select_antipodal_representatives, spectrum
@@ -46,7 +44,6 @@ def parse_rational(token: str) -> Fraction:
 Rows = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
 class EmbeddedCode:
     """Degree-2 image of an antipodal equinorm code, held as its representatives.
 
@@ -56,7 +53,8 @@ class EmbeddedCode:
     read only n and histogram; the exact gram is built on first access.
     """
 
-    reps: LatticeCode
+    def __init__(self, reps: LatticeCode) -> None:
+        self.reps = reps
 
     @property
     def n(self) -> int:
@@ -144,7 +142,7 @@ def build_code(roots: LatticeCode) -> EmbeddedCode:
     return EmbeddedCode(reps)
 
 
-def flatten_coordinates(code: LatticeCode, index: int) -> List[float]:
+def flatten_coordinates(code: LatticeCode, index: int) -> list[float]:
     """Unit coordinate vector of M_x, x = code.points[index], in an orthonormal basis.
 
     Basis of the traceless symmetric matrices of order m: the off-diagonal

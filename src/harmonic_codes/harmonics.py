@@ -13,7 +13,6 @@ recurrence at a rational point, in integers, and builds no coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -35,7 +34,6 @@ def harmonic_dimension(d: int, k: int) -> int:
     return math.comb(d + k, d) - math.comb(d + k - 2, d)
 
 
-@dataclass(frozen=True)
 class GegenbauerPoly:
     """Degree-k Gegenbauer polynomial for S^d, normalized to 1 at t = 1.
 
@@ -45,15 +43,17 @@ class GegenbauerPoly:
     P_1 = t of every S^d compare equal.
     """
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        self.coeffs = coeffs
         # Powers k-1, k-3, ... must vanish; the rest then sum to the value at
         # t = 1, which is 0 for an empty tuple.
         if any(self.coeffs[-2::-2]):
             raise ValueError("coefficient of the wrong parity for the degree")
         if sum(self.coeffs[::-2]) != 1:
             raise ValueError("polynomial is not normalized at t = 1")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GegenbauerPoly) and self.coeffs == other.coeffs
 
     @property
     def k(self) -> int:

@@ -16,35 +16,32 @@ from __future__ import annotations
 
 import io
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
-from typing import Dict
 
 # Normalized inner-product value -> count over ordered distinct pairs.
-Spectrum = Dict[Fraction, int]
+Spectrum = dict[Fraction, int]
 
 
 def scaled_dot(p: tuple[int, ...], q: tuple[int, ...]) -> int:
     return sum(map(mul, p, q))
 
 
-@dataclass(frozen=True)
 class LatticeCode:
     """Equinorm integer point set representing a spherical code exactly.
 
     The true point for a stored vector p is p/sqrt(norm_sq_scaled); all
     pairwise inner products of true points are rational and are computed
-    as (p.q)/norm_sq_scaled without ever forming the square root.
+    as (p.q)/norm_sq_scaled without ever forming the square root.  Two codes
+    are equal when their four fields are.
     """
 
-    ambient_dim: int
-    scale: int
-    norm_sq_scaled: int
-    points: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, ambient_dim: int, scale: int, norm_sq_scaled: int, points: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self.ambient_dim, self.scale = ambient_dim, scale
+        self.norm_sq_scaled, self.points = norm_sq_scaled, points
         if self.ambient_dim < 1 or self.scale < 1 or self.norm_sq_scaled < 1:
             raise ValueError("dimensions, scale and norm must be positive")
         seen = set()
@@ -56,6 +53,9 @@ class LatticeCode:
             if p in seen:
                 raise ValueError(f"duplicate point {p}")
             seen.add(p)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LatticeCode) and vars(self) == vars(other)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -180,6 +180,11 @@ ROWS = _readme_rows() + [
     )),
     # the E8 image is a spherical 3-design
     Row("design --in - --t-max 3", "e8", out="design_strength 3\nresidual k=1 0\nresidual k=2 0\nresidual k=3 0\n"),
+    # but not a 4-design: the first nonzero residual is k = 4
+    Row("design --in - --t-max 5", "e8", out=(
+        "design_strength 3\nresidual k=1 0\nresidual k=2 0\nresidual k=3 0\n"
+        "residual k=4 149760/343\nresidual k=5 0\n"
+    )),
     Row("scan --in - -d 1 -k 1 --k-max 12", "1/2\n0\n", out=_circle_images),
     Row("gegenbauer -d 1 -k 12 --at 1/2", out="1\n"),  # T_12(1/2) = cos(4 pi)
     Row("bound -n 98 --dim 24", out="sqrt(25/1152)\n"),
@@ -210,7 +215,10 @@ ROWS = _readme_rows() + [
     Row("certify --in -", "2 2 1 1\n1 0\n0 1\n", 1, err="point (1, 0) has no antipode in the code"),
     Row("certify --in -", "two-point", 1, err="no admissible pair to take coherence over"),
     Row("build --in -", "", 1, err="empty code file"),
+    Row("build --in -", "8 2 2 8\n1 1 1 1 1 1 1 1\n", 1, err="expected 2 points, found 1"),
     Row("scan --in - -d 7 -k 2", "0\n1e5\n", 1, err="exponent notation is not accepted: '1e5'"),
+    # rejected before Fraction would expand it to a thirty-million-digit integer
+    Row("scan --in - -d 7 -k 2", "0\n1e29999999\n", 1, err="exponent notation is not accepted: '1e29999999'"),
     Row("bound -n 241 --dim 35", status=1, err="antipodal codes have an even number of points"),
     Row("bound -n 240 --dim 0", status=1, err="dimension must be positive"),
     Row("dim -d 0 -k 2", status=1, err="sphere dimension must be >= 1"),
@@ -327,15 +335,6 @@ def test_build_summary(make_text, n, dim, values, capsys, monkeypatch):
     )
 
 
-def test_certify_optimal(roots_file, capsys):
-    assert main(["certify", "--in", roots_file]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["coherence"] == "1/7"
-    assert report["bound"] == "1/7"
-    assert report["design_strength"] == 3
-    assert report["optimal_antipodal"] is True
-
-
 def test_build_certify_options_are_usage_errors(roots_file, capsys):
     # the certificate is `certify`'s alone: build takes no --certify or --t-max
     for option in (["--certify"], ["--t-max", "3"]):
@@ -404,14 +403,6 @@ def test_design(roots_file, capsys):
         "residual k=2 0\n"
         "residual k=3 0\n"
     )
-
-
-def test_design_t_max_five(roots_file, capsys):
-    assert main(["design", "--in", roots_file, "--t-max", "5"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "design_strength 3"
-    assert lines[4] == "residual k=4 149760/343"
-    assert lines[5] == "residual k=5 0"
 
 
 def test_design_t_max_twelve_bytes_are_pinned(roots_file, capsys):
@@ -541,15 +532,6 @@ def test_scan_bad_n_points_writes_nothing(args, message, capsys, monkeypatch):
     assert captured.err == f"harmonic-codes: error: {message}\n"
 
 
-def test_scan_exponent_token_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("0\n1e29999999\n"))
-    assert main(["scan", "--in", "-", "-d", "7", "-k", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("harmonic-codes: error:")
-    assert captured.err.count("\n") == 1
-
-
 def test_export_exact_round_trip(roots_file, tmp_path, capsys, e8_code):
     out = tmp_path / "gram.txt"
     assert main(["export", "--in", roots_file, "--exact", "--out", str(out)]) == 0
@@ -621,12 +603,6 @@ def test_missing_input_file_exits_two(capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.startswith("harmonic-codes: i/o error: ")
         assert out in captured.err and captured.err.count("\n") == 1
-
-
-def test_malformed_code_file_exits_one(tmp_path, capsys):
-    bad = tmp_path / "bad.code"
-    bad.write_text("8 2 2 8\n1 1 1 1 1 1 1 1\n", encoding="utf-8")
-    assert main(["build", "--in", str(bad)]) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -6,25 +7,32 @@ from pathlib import Path
 
 import pytest
 
+from test_cli import PINNED_SCAN, PINNED_SCAN_SHA256
+
 ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def _fresh_import(name):
-    """A fresh interpreter imports `name` and prints the harmonic_codes.*
-    modules that loaded, then the module's __version__ (or None)."""
+    """A fresh interpreter imports `name`: the modules then loaded, and the
+    module's __version__ (or None)."""
     script = (
         f"import sys, importlib\nmodule = importlib.import_module({name!r})\n"
-        "print(sorted(m for m in sys.modules if m.startswith('harmonic_codes.')))\n"
+        "print(' '.join(sys.modules))\n"
         "print(getattr(module, '__version__', None))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    return run.stdout.splitlines()
+    run = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True, text=True, check=True)
+    modules, version = run.stdout.splitlines()
+    return set(modules.split()), version
+
+
+def _submodules(modules):
+    return sorted(m for m in modules if m.startswith("harmonic_codes."))
 
 
 def test_package_root_loads_no_submodule_and_carries_the_version():
-    submodules, version = _fresh_import("harmonic_codes")
-    assert submodules == "[]"
+    modules, version = _fresh_import("harmonic_codes")
+    assert _submodules(modules) == []
     # parsed with re: Python 3.10 has no tomllib
     (declared,) = re.findall(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
     assert version == declared
@@ -32,8 +40,25 @@ def test_package_root_loads_no_submodule_and_carries_the_version():
 
 @pytest.mark.parametrize("name", ["harmonic_codes.harmonics", "harmonic_codes.lattice"])
 def test_leaf_module_imports_nothing_from_the_package(name):
-    submodules, _ = _fresh_import(name)
-    assert submodules == repr([name])
+    modules, _ = _fresh_import(name)
+    assert _submodules(modules) == [name]
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_analyzer():
+    # against a bare interpreter's modules: `site` may already load some, such
+    # as typing, through a .pth file
+    bare, _ = _fresh_import("sys")
+    cli, _ = _fresh_import("harmonic_codes.cli")
+    assert "harmonic_codes.codes" in cli
+    assert (cli - bare) & {"dataclasses", "inspect", "harmonic_codes.analyzer"} == set()
+
+
+def test_scan_runs_in_a_fresh_process():
+    # the one out-of-process run of `scan`, which imports the analyzer on demand
+    run = subprocess.run([sys.executable, "-m", "harmonic_codes", *PINNED_SCAN], input="0\n1/2\n-1/2\n",
+                         env=ENV, capture_output=True, text=True, check=True)
+    assert run.stderr == ""
+    assert hashlib.sha256(run.stdout.encode("utf-8")).hexdigest() == PINNED_SCAN_SHA256
 
 
 def test_exact_module_is_gone():
