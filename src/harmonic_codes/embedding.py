@@ -6,9 +6,12 @@ coordinates.  Flattened over one common denominator they are integer
 vectors whose normalized dot products are the degree-2 Gegenbauer value
 g2 of the source inner product, so the E8 image is an antipodal code with
 all non-antipodal inner products 1/7 in absolute value.  A built code takes
-its Gram values from integer dot products, and the float export writes
-each point's coordinates in closed form from its integer vector; the
-explicit matrices (embed_degree2) are the tests' independent witness.
+its Gram values from integer dot products: the histogram from the lattice
+spectrum, the exact Gram from each row of lattice.dot_fields through one
+shared Fraction per distinct dot.  The float export writes each coordinate
+in closed form from an integer key (p_i p_j off the diagonal), formatting
+each distinct key once; the explicit matrices (embed_degree2) are the
+tests' independent witness.
 
 The matrix model lives here too, as plain tuples of Fraction rows, with its
 integer flattening (_integer_flat, as acceptance criterion 05 uses it) and
@@ -22,9 +25,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .harmonics import gegenbauer_values, harmonic_dimension
-from .lattice import LatticeCode, scaled_dot, select_antipodal_representatives, spectrum
+from .lattice import LatticeCode, dot_fields, select_antipodal_representatives, spectrum
 
 
 def parse_rational(token: str) -> Fraction:
@@ -89,14 +93,22 @@ class EmbeddedCode:
 
     @cached_property
     def gram(self) -> Rows:
-        """The exact 2N x 2N Gram, through one map from integer dot products to g2."""
-        pts, norm = self.reps.points, self.reps.norm_sq_scaled
-        dots = [[scaled_dot(p, q) for q in pts] for p in pts]
-        plus = {s: self.kernel(Fraction(s, norm)) for s in set().union(*dots)}
-        minus = {s: -v for s, v in plus.items()}
-        top = tuple(tuple([plus[s] for s in row] + [minus[s] for s in row]) for row in dots)
-        bottom = tuple(tuple([minus[s] for s in row] + [plus[s] for s in row]) for row in dots)
-        return top + bottom
+        """The exact 2N x 2N Gram: each row of packed dot fields through two kernel tables.
+
+        The tables map each distinct field key to one shared Fraction, +g2 and
+        -g2 of its dot; each half-row is built once and serves the top row
+        [B, -B] and the bottom row [-B, B].
+        """
+        dot, rows = dot_fields(self.reps)
+        rows, norm = list(rows), self.reps.norm_sq_scaled
+        plus = {key: self.kernel(Fraction(dot(key), norm)) for key in set().union(*rows)}
+        minus = {key: -v for key, v in plus.items()}
+        top, bottom = [], []
+        for row in rows:
+            b, minus_b = list(map(plus.__getitem__, row)), list(map(minus.__getitem__, row))
+            top.append(tuple(b + minus_b))
+            bottom.append(tuple(minus_b + b))
+        return tuple(top + bottom)
 
 
 def embed_degree2(code: LatticeCode, index: int) -> Rows:
@@ -142,6 +154,28 @@ def build_code(roots: LatticeCode) -> EmbeddedCode:
     return EmbeddedCode(reps)
 
 
+def _coordinate_keys(p: tuple[int, ...]) -> list:
+    """The integers each coordinate of M_x is a closed form of (see flatten_coordinates).
+
+    Off the diagonal, coordinate (i, j) depends only on p_i p_j; on it, chain
+    element r depends only on (s, r), s = sum_{k<r} p_k^2 - r p_r^2.
+    """
+    keys = [a * b for a, b in combinations(p, 2)]
+    partial = 0
+    for r in range(1, len(p)):
+        partial += p[r - 1] * p[r - 1]
+        keys.append((partial - r * p[r] * p[r], r))
+    return keys
+
+
+def _coordinate(key, n: int, norm: float) -> float:
+    """The closed form of one coordinate from its key over the norms n = |p|^2 and |M_x|."""
+    if isinstance(key, tuple):
+        s, r = key
+        return (s / n) / (math.sqrt(r * (r + 1)) * norm)
+    return math.sqrt(2.0) * (key / n) / norm
+
+
 def flatten_coordinates(code: LatticeCode, index: int) -> list[float]:
     """Unit coordinate vector of M_x, x = code.points[index], in an orthonormal basis.
 
@@ -151,21 +185,12 @@ def flatten_coordinates(code: LatticeCode, index: int) -> list[float]:
     p = x scaled to integers and n = |p|^2, the -I/m term cancels in every
     coordinate and |M_x|^2 = (m - 1)/m, so each coordinate is an integer
     ratio over one norm.  Output length is m(m+1)/2 - 1; the Euclidean norm
-    is 1 up to float rounding.
+    is 1 up to float rounding.  float_code_to_text writes the same closed
+    forms; this is its witness.
     """
-    p = code.points[index]
-    n = code.norm_sq_scaled
-    m = code.ambient_dim
+    n, m = code.norm_sq_scaled, code.ambient_dim
     norm = math.sqrt((m - 1) / m)
-    coords = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            coords.append(math.sqrt(2.0) * (p[i] * p[j] / n) / norm)
-    partial = 0
-    for r in range(1, m):
-        partial += p[r - 1] * p[r - 1]
-        coords.append(((partial - r * p[r] * p[r]) / n) / (math.sqrt(r * (r + 1)) * norm))
-    return coords
+    return [_coordinate(key, n, norm) for key in _coordinate_keys(code.points[index])]
 
 
 # --- export formats ---------------------------------------------------------
@@ -174,15 +199,20 @@ def flatten_coordinates(code: LatticeCode, index: int) -> list[float]:
 def float_code_to_text(code: EmbeddedCode) -> str:
     """Header `dim N float`, then one row of 17-significant-digit floats per point.
 
-    The N representative rows come first, then the same rows negated.
+    The N representative rows come first, then the same rows negated.  Each
+    distinct coordinate key is formatted once; its negation toggles the
+    token's leading `-`, which is how `.17g` writes -x (0 gives -0).
     """
-    rows = [flatten_coordinates(code.reps, i) for i in range(len(code.reps))]
-    out = io.StringIO()
-    out.write(f"{code.ambient_harmonic_dim} {len(code)} float\n")
-    for sign in (1, -1):
-        for row in rows:
-            out.write(" ".join(f"{sign * x:.17g}" for x in row) + "\n")
-    return out.getvalue()
+    reps = code.reps
+    n, m = reps.norm_sq_scaled, reps.ambient_dim
+    norm = math.sqrt((m - 1) / m)
+    rows = [_coordinate_keys(p) for p in reps.points]
+    plus = {key: f"{_coordinate(key, n, norm):.17g}" for key in set().union(*rows)}
+    minus = {key: t[1:] if t[0] == "-" else "-" + t for key, t in plus.items()}
+    lines = [f"{code.ambient_harmonic_dim} {len(code)} float"]
+    for tokens in (plus, minus):
+        lines += [" ".join(map(tokens.__getitem__, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def gram_to_text(gram: Rows) -> str:

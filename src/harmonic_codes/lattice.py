@@ -6,18 +6,21 @@ Fraction.  The 240 E8 roots are generated in the even coordinate system
 (lattice norm^2 = 2) and multiplied by 2 so the half-integer shape
 becomes integral: stored norms are all 8.
 
-A code's spectrum is counted by Kronecker packing, one big-integer product
-per point, in byte fields as wide as the Cauchy-Schwarz bound on the norm
-needs (see spectrum); the double loop over scaled dot products is the
-tests' witness for it.
+A code's dot products come from Kronecker packing (dot_fields): one
+big-integer product per point gives its dots with every point, in byte
+fields as wide as the Cauchy-Schwarz bound on the norm needs.  The spectrum
+tallies each row's later points, and the exact Gram of a built code maps
+each row through its kernel values; the double loop over scaled dot
+products is the tests' witness for every row.
 """
 
 from __future__ import annotations
 
 import io
 from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import mul
 
 # Normalized inner-product value -> count over ordered distinct pairs.
@@ -113,8 +116,14 @@ def select_antipodal_representatives(code: LatticeCode) -> LatticeCode:
     )
 
 
-def spectrum(code: LatticeCode) -> Spectrum:
-    """Normalized inner-product counts over ordered distinct pairs.
+def dot_fields(code: LatticeCode) -> tuple[Callable[..., int], Iterator[Sequence]]:
+    """Each point's dot products with every point, as the fields of one product.
+
+    Returns (dot, rows): rows yields, for each point i in order, a sequence
+    whose j-th key holds p_i . p_j, and dot(key) is that dot product.  A key is
+    a biased field of a packed product: its byte when the field is one byte
+    wide, else the bytes object of the field.  Equal keys hold equal dots, so a
+    caller can tally or tabulate keys and decode only the distinct ones.
 
     The N points are packed into one integer as W = 2m - 1 signed slots of
     `width` bytes each, point j's coordinates at slots jW .. jW + m - 1.  Its
@@ -124,11 +133,8 @@ def spectrum(code: LatticeCode) -> Spectrum:
     in absolute value, and `width` is the least byte count with
     n < half = 2^(8 width - 1); so adding `half` to every slot makes each one
     a base-256^width digit, and the product's bytes hold the dots with no
-    carry between them.  One product per point i gives its dots with every
-    later point, and their fields are tallied at C speed.
+    carry between them.
     """
-    if len(code) == 0:
-        raise ValueError("empty code has no spectrum")
     pts, m, norm = code.points, code.ambient_dim, code.norm_sq_scaled
     width = norm.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
@@ -145,27 +151,51 @@ def spectrum(code: LatticeCode) -> Spectrum:
 
     packed = part(1) - part(-1)
     bias = int.from_bytes(half.to_bytes(width, "little") * (len(pts) * slots), "little")
-    lanes = [bytearray() for _ in range(width)]  # lane b: byte b of each field
-    for i, p in enumerate(pts):
-        row = 0
-        for c in p:
-            row = (row << 8 * width) + c
-        digits = (packed * row + bias).to_bytes(size, "little")
-        start = ((i + 1) * slots + m - 1) * width
-        for b, lane in enumerate(lanes):
-            lane += digits[start + b :: slots * width]
-    # One-byte fields (n < 128, as for E8 and D16) are counted by
-    # bytearray.count; a wider field is keyed by the tuple of its bytes.
     if width == 1:
-        (lane,) = lanes
-        fields = {v: lane.count(v) for v in set(lane)}
+        def keys(digits: bytes) -> bytes:
+            return digits[m - 1 :: slots]
+
+        def dot(key: int) -> int:
+            return key - half
     else:
-        fields = {
-            int.from_bytes(bytes(key), "little"): c
-            for key, c in Counter(zip(*lanes)).items()
-        }
+        from struct import Struct  # only wide fields need it; not loaded at start-up
+
+        pad = f"{(m - 1) * width}x"
+        keys = Struct(f"{pad}{width}s{pad}" * len(pts)).unpack
+
+        def dot(key: bytes) -> int:
+            return int.from_bytes(key, "little") - half
+
+    def rows() -> Iterator[Sequence]:
+        for p in pts:
+            row = 0
+            for c in p:
+                row = (row << 8 * width) + c
+            yield keys((packed * row + bias).to_bytes(size, "little"))
+
+    return dot, rows()
+
+
+def spectrum(code: LatticeCode) -> Spectrum:
+    """Normalized inner-product counts over ordered distinct pairs.
+
+    Row i of dot_fields holds point i's dots with every point; its slice past
+    i holds the later points', and those keys are tallied at C speed.
+    """
+    if len(code) == 0:
+        raise ValueError("empty code has no spectrum")
+    dot, rows = dot_fields(code)
+    later = [row[i + 1 :] for i, row in enumerate(rows)]
+    # One-byte keys (n < 128, as for E8 and D16) are counted by bytes.count;
+    # a wider field's bytes objects by a Counter.
+    if isinstance(later[0], bytes):
+        tail = b"".join(later)
+        tally = {key: tail.count(key) for key in set(tail)}
+    else:
+        tally = Counter(chain.from_iterable(later))
     # (p,q) and (q,p) carry the same value, so ordered counts are doubled.
-    return {Fraction(v - half, norm): 2 * c for v, c in sorted(fields.items())}
+    counts = sorted((dot(key), c) for key, c in tally.items())
+    return {Fraction(s, code.norm_sq_scaled): 2 * c for s, c in counts}
 
 
 # --- line-oriented code file format ----------------------------------------

@@ -21,6 +21,7 @@ from harmonic_codes.codes import (
 from harmonic_codes.embedding import build_code, gram_from_text, gram_to_text
 from harmonic_codes.harmonics import gegenbauer_family, gegenbauer_values
 from harmonic_codes.lattice import LatticeCode, code_from_text, code_to_text, generate_e8_roots
+from test_embedding import EXACT_GRAM_SHA256, FLOAT_EXPORT_SHA256
 
 README_TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -140,6 +141,10 @@ class Row(NamedTuple):
     err: str | None = None
 
 
+def _sha256_is(digest):
+    return lambda out: _sha256(out) == digest
+
+
 def _json_has(**fields):
     return lambda out: {key: json.loads(out)[key] for key in fields} == fields
 
@@ -185,6 +190,11 @@ ROWS = _readme_rows() + [
         "design_strength 3\nresidual k=1 0\nresidual k=2 0\nresidual k=3 0\n"
         "residual k=4 149760/343\nresidual k=5 0\n"
     )),
+    # scaling keeps every rational entry, and int/int division is correctly
+    # rounded, so both exports of e8-scaled (2-byte dot fields) equal E8's
+    *(Row(f"export --{kind} --in -", name, out=_sha256_is(digest))
+      for kind, digest in (("exact", EXACT_GRAM_SHA256), ("float", FLOAT_EXPORT_SHA256))
+      for name in ("e8", "e8-scaled")),
     Row("scan --in - -d 1 -k 1 --k-max 12", "1/2\n0\n", out=_circle_images),
     Row("gegenbauer -d 1 -k 12 --at 1/2", out="1\n"),  # T_12(1/2) = cos(4 pi)
     Row("bound -n 98 --dim 24", out="sqrt(25/1152)\n"),

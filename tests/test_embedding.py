@@ -4,8 +4,11 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmonic_codes import embedding
 from harmonic_codes.cli import main
@@ -194,6 +197,41 @@ def test_float_export_format(e8_code):
     assert len(lines) == 241
     row = [float(tok) for tok in lines[1].split()]
     assert len(row) == 35
+
+
+def _d16_roots():
+    points = []
+    for i, j in combinations(range(16), 2):
+        for si, sj in product((-1, 1), repeat=2):
+            v = [0] * 16
+            v[i], v[j] = si, sj
+            points.append(tuple(v))
+    return LatticeCode(16, 1, 2, tuple(points))
+
+
+@st.composite
+def antipodal_codes(draw):
+    """Signed permutations of one integer vector, closed under negation."""
+    base = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=6).filter(any))
+    rng = draw(st.randoms(use_true_random=False))
+    count = draw(st.integers(1, 20))
+    points = {tuple(rng.choice((-1, 1)) * c for c in rng.sample(base, len(base))) for _ in range(count)}
+    points |= {tuple(-c for c in p) for p in points}
+    return LatticeCode(len(base), 1, sum(c * c for c in base), tuple(sorted(points)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(antipodal_codes())
+@example(_d16_roots())
+def test_float_export_is_plain_formatting_of_the_witness(roots):
+    # the per-key token table and the sign toggle against `.17g` of every
+    # witness coordinate, and of its negation (-0 for a zero) in the second half
+    code = build_code(roots)
+    rows = [flatten_coordinates(code.reps, i) for i in range(len(code.reps))]
+    lines = [f"{code.ambient_harmonic_dim} {len(code)} float"]
+    lines += [" ".join(f"{x:.17g}" for x in row) for row in rows]
+    lines += [" ".join(f"{-x:.17g}" for x in row) for row in rows]
+    assert float_code_to_text(code) == "\n".join(lines) + "\n"
 
 
 def test_gram_text_round_trip(e8_code):

@@ -12,6 +12,7 @@ from harmonic_codes.lattice import (
     LatticeCode,
     code_from_text,
     code_to_text,
+    dot_fields,
     scaled_dot,
     select_antipodal_representatives,
     spectrum,
@@ -102,6 +103,18 @@ def _pair_witness(code):
     return {Fraction(s, code.norm_sq_scaled): 2 * c for s, c in sorted(counts.items())}
 
 
+def _dot_rows(code):
+    """Every dot product dot_fields packs, decoded: its rows in list form."""
+    dot, rows = dot_fields(code)
+    return [[dot(key) for key in row] for row in rows]
+
+
+def _dot_witness(code):
+    """The dot products by a double loop: the packed rows' witness."""
+    pts = code.points
+    return [[scaled_dot(p, q) for q in pts] for p in pts]
+
+
 def test_spectrum_of_roots(e8_roots):
     spec = spectrum(e8_roots)
     assert spec == {
@@ -164,6 +177,7 @@ def equinorm_codes(draw):
 @given(equinorm_codes())
 def test_spectrum_matches_pair_witness(code):
     assert spectrum(code) == _pair_witness(code)
+    assert _dot_rows(code) == _dot_witness(code)
 
 
 @pytest.mark.parametrize("norm", WIDTH_BOUNDARIES)
@@ -171,6 +185,7 @@ def test_spectrum_at_field_width_boundaries(norm):
     base = _vector_of_norm(norm)
     code = LatticeCode(len(base), 1, norm, _signed_permutations(base, 100, random.Random(norm)))
     assert spectrum(code) == _pair_witness(code)
+    assert _dot_rows(code) == _dot_witness(code)
 
 
 def test_spectrum_small_codes():
