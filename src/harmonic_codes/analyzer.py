@@ -10,7 +10,9 @@ assumed here.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, TextIO
 
 from .codes import QuadraticBound, format_bound, quadratic_bound
@@ -44,39 +46,41 @@ class CandidateSummary(NamedTuple):
 
 
 def _checked_values(values: Iterable[int | Fraction]) -> list[Fraction]:
-    out = []
+    """The distinct values, deduplicated and sorted as (p, q) ratios; the first bad one raises."""
+    ratios = {}
     for v in values:
-        v = Fraction(v)
-        if not -1 <= v <= 1:
-            raise ValueError(f"inner-product value {v} outside [-1, 1]")
-        if abs(v) == 1:
+        p, q = v.as_integer_ratio()
+        if abs(p) == q:
             raise ValueError("values +-1 are self or antipodal products, not admissible")
-        out.append(v)
-    if not out:
+        if not -q < p < q:
+            raise ValueError(f"inner-product value {Fraction(p, q)} outside [-1, 1]")
+        ratios[p, q] = v if type(v) is Fraction else Fraction(p, q)
+    if not ratios:
         raise ValueError("empty value set")
-    return sorted(set(out))
+    lcm = math.lcm(*(q for _, q in ratios))
+    return [ratios[r] for r in sorted(ratios, key=lambda r: r[0] * (lcm // r[1]))]
 
 
 def constant_modulus_scan(
     values: Iterable[int | Fraction], d: int, k_range: Iterable[int]
 ) -> list[ScanResult]:
-    """Evaluate g_k^d on every value for each k and report modulus constancy."""
-    vals = _checked_values(values)
+    """Evaluate g_k^d on every value for each k; moduli compare as (|numerator|, denominator)."""
+    keys = _checked_values(values)
     ks = list(k_range)
     if not ks:
         return []
-    columns = {v: gegenbauer_values(d, v, ks) for v in vals}
+    columns = [gegenbauer_values(d, v, ks) for v in keys]
     results = []
     for i, k in enumerate(ks):
-        image = {v: column[i] for v, column in columns.items()}
-        moduli = {abs(g) for g in image.values()}
+        image = {v: column[i] for v, column in zip(keys, columns)}
+        moduli = {(abs(g.numerator), g.denominator) for g in image.values()}
         results.append(
             ScanResult(
                 d=d,
                 k=k,
                 harmonic_dim=harmonic_dimension(d, k),
                 image_values=image,
-                modulus=moduli.pop() if len(moduli) == 1 else None,
+                modulus=Fraction(*moduli.pop()) if len(moduli) == 1 else None,
             )
         )
     return results
@@ -84,10 +88,17 @@ def constant_modulus_scan(
 
 def candidate_from_scan(scan: ScanResult, n_points: int) -> CandidateSummary:
     """Parameters the embedded code over a scanned spectrum would have, plus the bound."""
+    coherence = scan.modulus
+    if coherence is None:  # the largest |g|, by integer cross products
+        top, bottom = 0, 1
+        for p, q in map(Fraction.as_integer_ratio, scan.image_values.values()):
+            if abs(p) * bottom > top * q:
+                top, bottom = abs(p), q
+        coherence = Fraction(top, bottom)
     return CandidateSummary(
         scan=scan,
         n_points=n_points,
-        coherence=max(abs(g) for g in scan.image_values.values()),
+        coherence=coherence,
         bound=quadratic_bound(n_points, scan.harmonic_dim),
     )
 
@@ -120,8 +131,7 @@ def scan_to_json(result: ScanResult) -> str:
         "k": result.k,
         "harmonic_dim": result.harmonic_dim,
         "image": {
-            str(v): str(result.image_values[v])
-            for v in sorted(result.image_values)
+            str(v): str(g) for v, g in sorted(result.image_values.items(), key=itemgetter(0))
         },
         "constant_modulus": result.constant_modulus,
         "modulus": None if result.modulus is None else str(result.modulus),

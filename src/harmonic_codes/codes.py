@@ -160,8 +160,9 @@ def quadratic_bound(n: int, dim: int) -> QuadraticBound:
 
     From sum (y_i,y_j)^2 >= n^2/dim the diagonal and antipodal pairs each
     contribute n, leaving n(n-2) ordered pairs to average at least
-    (n^2/dim - 2n)/(n(n-2)).  The record keeps that average, clamped at
-    zero, as its radicand; its value is the rational square root, if any.
+    (n^2/dim - 2n)/(n(n-2)) = (n - 2 dim)/(dim (n-2)).  The record keeps that
+    average, clamped at zero, as its radicand; its value is the rational
+    square root, if any.
     """
     if n % 2 != 0:
         raise ValueError("antipodal codes have an even number of points")
@@ -169,7 +170,7 @@ def quadratic_bound(n: int, dim: int) -> QuadraticBound:
         raise ValueError("need at least two antipodal pairs")
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return QuadraticBound(max(Fraction(0), (Fraction(n, dim) - 2) / (n - 2)))
+    return QuadraticBound(Fraction(max(0, n - 2 * dim), dim * (n - 2)))
 
 
 def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:

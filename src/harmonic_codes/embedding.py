@@ -234,12 +234,16 @@ def gram_from_text(text: str) -> Rows:
         raise ValueError(f"bad gram header {lines[0]!r}") from exc
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} gram rows, found {len(lines) - 1}")
-    rows = []
+    rows, parsed = [], {}  # one Fraction per distinct token
     for line in lines[1:]:
+        tokens = line.split()
         try:
-            row = tuple(parse_rational(tok) for tok in line.split())
+            for tok in dict.fromkeys(tokens):
+                if tok not in parsed:
+                    parsed[tok] = parse_rational(tok)
         except ValueError as exc:
             raise ValueError("bad rational token in gram row") from exc
+        row = tuple(map(parsed.__getitem__, tokens))
         if len(row) != n:
             raise ValueError("gram row has wrong length")
         rows.append(row)

@@ -69,14 +69,14 @@ class GegenbauerPoly:
         return acc
 
 
-def gegenbauer_family(d: int, k_max: int) -> tuple[GegenbauerPoly, ...]:
-    """Normalized Gegenbauer polynomials P_0, ..., P_k_max for S^d, in one run.
+def _family_coefficients(d: int, k_max: int) -> list[list[Fraction]]:
+    """Coefficient lists of P_0, ..., P_k_max for S^d, from one run of the recurrence.
 
     Runs the normalized family's own three-term recurrence
     (j+d-2) P_j = (2j+d-3) t P_{j-1} - (j-1) P_{j-2} from P_0 = 1 and
     P_1 = t.  Every P_j is 1 at t = 1 by construction, the divisor j+d-2
     is at least 1 for j >= 2, and at d = 1 the recurrence is Chebyshev's
-    T_j = 2t T_{j-1} - T_{j-2}.  Member k of the result has degree k.
+    T_j = 2t T_{j-1} - T_{j-2}.
     """
     if d < 1:
         raise ValueError("sphere dimension must be >= 1")
@@ -89,12 +89,17 @@ def gegenbauer_family(d: int, k_max: int) -> tuple[GegenbauerPoly, ...]:
         for i, c in enumerate(prev2):
             cur[i] -= (j - 1) * c
         family.append([c / (j + d - 2) for c in cur])
-    return tuple(GegenbauerPoly(coeffs=tuple(coeffs)) for coeffs in family[: k_max + 1])
+    return family[: k_max + 1]
+
+
+def gegenbauer_family(d: int, k_max: int) -> tuple[GegenbauerPoly, ...]:
+    """Normalized Gegenbauer polynomials P_0, ..., P_k_max for S^d, each checked."""
+    return tuple(GegenbauerPoly(coeffs=tuple(coeffs)) for coeffs in _family_coefficients(d, k_max))
 
 
 def gegenbauer(d: int, k: int) -> GegenbauerPoly:
-    """Normalized degree-k Gegenbauer polynomial for S^d: the last member of its family."""
-    return gegenbauer_family(d, k)[-1]
+    """Normalized degree-k Gegenbauer polynomial for S^d; of its family only this member is checked."""
+    return GegenbauerPoly(coeffs=tuple(_family_coefficients(d, k)[-1]))
 
 
 def gegenbauer_values(d: int, t: int | Fraction, degrees: Iterable[int]) -> list[Fraction]:
@@ -109,10 +114,10 @@ def gegenbauer_values(d: int, t: int | Fraction, degrees: Iterable[int]) -> list
     degrees = list(degrees)
     if min(degrees, default=0) < 0:
         raise ValueError("degree must be >= 0")
-    p, q = Fraction(t).as_integer_ratio()
-    nums, dens = [1, p], [1, q]
+    p, q = t.as_integer_ratio()
+    nums, dens, qq = [1, p], [1, q], q * q
     for j in range(2, max(degrees, default=0) + 1):
         step = j + d - 3 if j > 2 else 1
-        nums.append((2 * j + d - 3) * p * nums[-1] - (j - 1) * step * q * q * nums[-2])
+        nums.append((2 * j + d - 3) * p * nums[-1] - (j - 1) * step * qq * nums[-2])
         dens.append(dens[-1] * q * (j + d - 2))
     return [Fraction(nums[k], dens[k]) for k in degrees]

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonic_codes.analyzer import (
+    CandidateSummary,
+    ScanResult,
     candidate_from_scan,
     candidate_parameters,
     candidate_to_json,
@@ -15,7 +17,8 @@ from harmonic_codes.analyzer import (
     read_spectrum_file,
     scan_to_json,
 )
-from harmonic_codes.harmonics import gegenbauer, harmonic_dimension
+from harmonic_codes.codes import QuadraticBound, quadratic_bound
+from harmonic_codes.harmonics import gegenbauer, gegenbauer_values, harmonic_dimension
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -75,8 +78,11 @@ def test_scan_accepts_a_one_shot_iterator():
     assert results[0] == results[2]
 
 
+_admissible = st.fractions(min_value=-1, max_value=1, max_denominator=12).filter(
+    lambda v: abs(v) < 1
+)
 _spectra = st.lists(
-    st.fractions(min_value=-1, max_value=1, max_denominator=12).filter(lambda v: abs(v) < 1),
+    _admissible,
     min_size=1,
     max_size=6,
     unique=True,
@@ -105,9 +111,129 @@ def test_range_scan_and_candidates_match_per_degree_path(values, d, a, width, ha
         assert candidate_from_scan(r, n_points) == candidate_parameters(values, d, r.k, n_points)
 
 
+def _scan_witness(values, d, k_range, n_points):
+    """The reference scan and candidates, on Fractions throughout: Fraction(v),
+    sets of Fractions, abs() and comparisons.  The integer-ratio scan must equal it."""
+
+    def _checked_values(values):
+        out = []
+        for v in values:
+            v = Fraction(v)
+            if not -1 <= v <= 1:
+                raise ValueError(f"inner-product value {v} outside [-1, 1]")
+            if abs(v) == 1:
+                raise ValueError("values +-1 are self or antipodal products, not admissible")
+            out.append(v)
+        if not out:
+            raise ValueError("empty value set")
+        return sorted(set(out))
+
+    def constant_modulus_scan(values, d, k_range):
+        vals = _checked_values(values)
+        ks = list(k_range)
+        if not ks:
+            return []
+        columns = {v: gegenbauer_values(d, v, ks) for v in vals}
+        results = []
+        for i, k in enumerate(ks):
+            image = {v: column[i] for v, column in columns.items()}
+            moduli = {abs(g) for g in image.values()}
+            results.append(
+                ScanResult(
+                    d=d,
+                    k=k,
+                    harmonic_dim=harmonic_dimension(d, k),
+                    image_values=image,
+                    modulus=moduli.pop() if len(moduli) == 1 else None,
+                )
+            )
+        return results
+
+    def candidate_from_scan(scan, n_points):
+        return CandidateSummary(
+            scan=scan,
+            n_points=n_points,
+            coherence=max(abs(g) for g in scan.image_values.values()),
+            bound=quadratic_bound(n_points, scan.harmonic_dim),
+        )
+
+    results = constant_modulus_scan(values, d, k_range)
+    return [(r, candidate_from_scan(r, n_points)) for r in results]
+
+
+def _as_drawn(v, scale, as_int):
+    # an equal value in another form: the int, or a Fraction built unreduced
+    if as_int and v.denominator == 1:
+        return int(v)
+    return Fraction(v.numerator * scale, v.denominator * scale)
+
+
+def _values(value, min_size=0):
+    drawn = st.builds(_as_drawn, value, st.integers(1, 3), st.booleans())
+    return st.lists(drawn, min_size=min_size, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=_values(_admissible, min_size=1),
+    d=st.integers(1, 34),
+    ks=st.lists(st.integers(0, 12), max_size=6),
+    half_n=st.integers(2, 300),
+)
+@example(values=[HALF, 0, -HALF], d=1, ks=[12, 2, 1, 2], half_n=2)
+@example(values=[Fraction(-1, 7), Fraction(1, 7), Fraction(2, 14)], d=34, ks=[12, 0], half_n=120)
+def test_scan_and_candidates_match_witness(values, d, ks, half_n):
+    # repeated, unsorted, int next to Fraction: the same results, key order and bytes
+    values = values + [0, Fraction(0)][: len(values) % 3]
+    values += [HALF, Fraction(2, 4)][: len(values) % 2]
+    expected = _scan_witness(values, d, ks, 2 * half_n)
+    results = constant_modulus_scan(values, d, ks)
+    assert results == [r for r, _ in expected]
+    for r, (w, candidate) in zip(results, expected):
+        assert list(r.image_values) == list(w.image_values)
+        assert all(type(v) is Fraction for v in r.image_values)
+        assert type(r.modulus) is (Fraction if w.constant_modulus else type(None))
+        assert scan_to_json(r) == scan_to_json(w)
+        summary = candidate_from_scan(r, 2 * half_n)
+        assert summary == candidate
+        assert type(summary.coherence) is Fraction
+        assert candidate_to_json(summary) == candidate_to_json(candidate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=_values(st.fractions(min_value=-2, max_value=2, max_denominator=4)),
+    d=st.integers(0, 34),
+    ks=st.lists(st.integers(-1, 12), max_size=4),
+)
+def test_scan_errors_match_witness(values, d, ks):
+    # the first bad value in input order, then the sphere, then the degree
+    try:
+        expected = _scan_witness(values, d, ks, 4)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            constant_modulus_scan(values, d, ks)
+        assert str(raised.value) == str(exc)
+    else:
+        assert constant_modulus_scan(values, d, ks) == [r for r, _ in expected]
+
+
+def test_quadratic_bound_matches_quotient_form():
+    # the radicand as one Fraction against (n/dim - 2)/(n - 2) clamped at 0
+    for n in range(4, 601, 2):
+        for dim in range(1, 701):
+            old = max(Fraction(0), (Fraction(n, dim) - 2) / (n - 2))
+            assert quadratic_bound(n, dim) == QuadraticBound(old)
+
+
 def test_scan_rejects_out_of_range_value():
+    # the first bad value in input order names the error
     with pytest.raises(ValueError, match=r"value 3/2 outside \[-1, 1\]"):
         constant_modulus_scan([Fraction(3, 2)], 7, [2])
+    with pytest.raises(ValueError, match=r"value 3/2 outside \[-1, 1\]"):
+        constant_modulus_scan([Fraction(3, 2), 1], 7, [2])
+    with pytest.raises(ValueError, match=r"value -2 outside \[-1, 1\]"):
+        constant_modulus_scan([HALF, -2, Fraction(5, 4)], 7, [2])
 
 
 def test_scan_rejects_antipodal_value():
@@ -115,6 +241,8 @@ def test_scan_rejects_antipodal_value():
         constant_modulus_scan([0, 1], 7, [2])
     with pytest.raises(ValueError, match=r"values \+-1 are self or antipodal"):
         constant_modulus_scan([-1], 7, [2])
+    with pytest.raises(ValueError, match=r"values \+-1 are self or antipodal"):
+        constant_modulus_scan([1, Fraction(3, 2)], 7, [2])
 
 
 def test_scan_rejects_empty_values():

@@ -97,6 +97,10 @@ SUBCOMMANDS = {"roots", "dim", "gegenbauer", "build", "certify", "bound", "desig
 PINNED_SCAN_SHA256 = "4355d43f766a1597db922c2807f802eb56dc91b83a52e954997db8596dca2486"
 E8_DESIGN_T12_SHA256 = "296318f5464fb4e209b00925d74fb1cde7a5f571e7f57d83f3937e75fb6f9bce"
 PINNED_SCAN = ["scan", "--in", "-", "-d", "7", "-k", "1", "--k-max", "12", "--n-points", "240"]
+# the same sweep on S^4 over an unsorted spectrum with a repeated value (1/5 =
+# 2/10): only k = 2 has one modulus, and five of the bounds are irrational
+MIXED_SPECTRUM = "-3/5\n1/5\n2/10\n-1/5\n"
+MIXED_SCAN_SHA256 = "a8b9c97fbc03b9bd2b5f544035b38fda7ac61e3af16ee259c1867bf924ebbdab"
 # sha256 of the certify JSON for E8 (exit 0), and for the 3-D cross-polytope and
 # the square (exit 1)
 E8_CERTIFY_SHA256 = "a9484497a43dc8831745cba3bb1c7415b90cd026a8738cfdd20f68636fcb1fc6"
@@ -196,6 +200,7 @@ ROWS = _readme_rows() + [
       for kind, digest in (("exact", EXACT_GRAM_SHA256), ("float", FLOAT_EXPORT_SHA256))
       for name in ("e8", "e8-scaled")),
     Row("scan --in - -d 1 -k 1 --k-max 12", "1/2\n0\n", out=_circle_images),
+    Row("scan --in - -d 4 -k 1 --k-max 12 --n-points 240", MIXED_SPECTRUM, out=_sha256_is(MIXED_SCAN_SHA256)),
     Row("gegenbauer -d 1 -k 12 --at 1/2", out="1\n"),  # T_12(1/2) = cos(4 pi)
     Row("bound -n 98 --dim 24", out="sqrt(25/1152)\n"),
     # D16's 480 roots: a 135-dimensional image short of its irrational bound

@@ -237,7 +237,11 @@ def test_float_export_is_plain_formatting_of_the_witness(roots):
 def test_gram_text_round_trip(e8_code):
     text = gram_to_text(e8_code.gram)
     assert text.splitlines()[0] == "240"
-    assert gram_from_text(text) == e8_code.gram
+    rows = gram_from_text(text)
+    assert rows == e8_code.gram
+    # one Fraction per distinct token: the entries are shared, not rebuilt
+    entries = [x for row in rows for x in row]
+    assert len({id(x) for x in entries}) == len(set(entries)) == len(set(text.split()[1:]))
 
 
 def _euclid_gcd(a, b):
@@ -319,6 +323,11 @@ def test_gram_text_rejects_malformed():
         gram_from_text("x")
     with pytest.raises(ValueError, match="bad rational token in gram row"):
         gram_from_text("1\n1e400\n")
+    # a token first seen in a later row is still parsed, and still rejected
+    with pytest.raises(ValueError, match="bad rational token in gram row"):
+        gram_from_text("2\n1 0\n0 1e5\n")
+    with pytest.raises(ValueError, match="gram row has wrong length"):
+        gram_from_text("2\n1 0\n0\n")
 
 
 def test_export_bytes_are_pinned():

@@ -221,6 +221,26 @@ def points(draw):
     return Fraction(p, q)
 
 
+def test_gegenbauer_builds_and_checks_only_its_degree(monkeypatch):
+    # the family checks every member; a single degree checks only itself
+    checked = []
+    check = GegenbauerPoly.__init__
+
+    def counted(self, coeffs):
+        checked.append(len(coeffs) - 1)
+        check(self, coeffs)
+
+    monkeypatch.setattr(GegenbauerPoly, "__init__", counted)
+    for d in (1, 7, 34):
+        for k in (0, 1, 2, 12):
+            family = gegenbauer_family(d, k)
+            assert checked == list(range(k + 1))
+            checked.clear()
+            assert gegenbauer(d, k) == family[-1]
+            assert checked == [k]
+            checked.clear()
+
+
 @settings(max_examples=300, deadline=None)
 @given(d=st.integers(1, 30), k_max=st.integers(0, 16), t=points(), data=st.data())
 def test_point_values_match_family_and_series(d, k_max, t, data):
