@@ -9,8 +9,8 @@ as a theorem check of optimality; design strength is reported, not judged.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from contextlib import contextmanager
 
 from . import __version__
 from .codes import (
@@ -39,105 +39,87 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(64)
 
 
-@contextmanager
-def _text_in(path: str):
+def _read(path: str) -> str:
     if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="utf-8") as f:
-            yield f
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as f:
+        return f.read()
 
 
-@contextmanager
-def _text_out(path: str | None):
+def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
-        yield sys.stdout
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            yield f
+            f.write(text)
 
 
 def _built(args):
-    with _text_in(args.infile) as f:
-        return build_code(code_from_text(f.read()))
+    return build_code(code_from_text(_read(args.infile)))
 
 
-def cmd_roots(args) -> int:
-    with _text_out(args.out) as f:
-        f.write(code_to_text(generate_e8_roots()))
-    return 0
+def cmd_roots(args) -> tuple[int, str]:
+    return 0, code_to_text(generate_e8_roots())
 
 
-def cmd_dim(args) -> int:
-    print(harmonic_dimension(args.d, args.k))
-    return 0
+def cmd_dim(args) -> tuple[int, str]:
+    return 0, f"{harmonic_dimension(args.d, args.k)}\n"
 
 
-def cmd_gegenbauer(args) -> int:
+def cmd_gegenbauer(args) -> tuple[int, str]:
     if args.at is None:
-        print(" ".join(str(c) for c in gegenbauer(args.d, args.k).coeffs))
-    else:
-        harmonic_dimension(args.d, args.k)  # d and k are rejected before the point is parsed
-        (value,) = gegenbauer_values(args.d, parse_rational(args.at), [args.k])
-        print(value)
-    return 0
+        return 0, " ".join(map(str, gegenbauer(args.d, args.k).coeffs)) + "\n"
+    harmonic_dimension(args.d, args.k)  # d and k are rejected before the point is parsed
+    (value,) = gegenbauer_values(args.d, parse_rational(args.at), [args.k])
+    return 0, f"{value}\n"
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> tuple[int, str]:
     code = _built(args)
     values = sorted(code.histogram.keys() | {1})
-    print(f"n_points {len(code)}")
-    print(f"ambient_harmonic_dim {code.ambient_harmonic_dim}")
-    print("gram_values " + " ".join(str(v) for v in values))
-    return 0
+    return 0, (
+        f"n_points {len(code)}\n"
+        f"ambient_harmonic_dim {code.ambient_harmonic_dim}\n"
+        f"gram_values {' '.join(map(str, values))}\n"
+    )
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple[int, str]:
     report = certify(_built(args), t_max=args.t_max)
-    sys.stdout.write(report_to_json(report))
-    return 0 if report.passed else 1
+    return 0 if report.passed else 1, report_to_json(report)
 
 
-def cmd_bound(args) -> int:
-    print(format_bound(quadratic_bound(args.n, args.dim)))
-    return 0
+def cmd_bound(args) -> tuple[int, str]:
+    return 0, format_bound(quadratic_bound(args.n, args.dim)) + "\n"
 
 
-def cmd_design(args) -> int:
+def cmd_design(args) -> tuple[int, str]:
     code = _built(args)
     check = design_strength(code, code.ambient_harmonic_dim - 1, args.t_max)
-    print(f"design_strength {check.strength}")
-    for k, residual in enumerate(check.residuals, start=1):
-        print(f"residual k={k} {residual}")
-    return 0
+    lines = [f"design_strength {check.strength}\n"]
+    lines += [f"residual k={k} {r}\n" for k, r in enumerate(check.residuals, start=1)]
+    return 0, "".join(lines)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[int, str]:
     from . import analyzer  # imported here: no other subcommand needs it
 
-    with _text_in(args.infile) as f:
-        values = analyzer.read_spectrum_file(f)
+    values = analyzer.read_spectrum_file(io.StringIO(_read(args.infile)))
     k_max = args.k_max if args.k_max is not None else args.k
     if k_max < args.k:
         raise ValueError("--k-max must be >= -k")
-    ks = range(args.k, k_max + 1)
     lines = []
-    for result in analyzer.constant_modulus_scan(values, args.d, ks):
+    for result in analyzer.constant_modulus_scan(values, args.d, range(args.k, k_max + 1)):
         lines.append(analyzer.scan_to_json(result))
         if args.n_points is not None:
             summary = analyzer.candidate_from_scan(result, args.n_points)
             lines.append(analyzer.candidate_to_json(summary))
-    with _text_out(args.out) as out:
-        out.write("".join(lines))
-    return 0
+    return 0, "".join(lines)
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> tuple[int, str]:
     code = _built(args)
-    text = gram_to_text(code.gram) if args.exact else float_code_to_text(code)
-    with _text_out(args.out) as f:
-        f.write(text)
-    return 0
+    return 0, gram_to_text(code.gram) if args.exact else float_code_to_text(code)
 
 
 def _add_input_options(sub) -> None:
@@ -212,7 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the one write: a run that raises has written nothing
+        status, text = args.func(args)
+        _write(getattr(args, "out", None), text)
+        return status
     except OSError as exc:
         print(f"harmonic-codes: i/o error: {exc}", file=sys.stderr)
         return 2

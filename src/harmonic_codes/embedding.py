@@ -20,7 +20,6 @@ the p/q token parser; malformed input raises ValueError.
 
 from __future__ import annotations
 
-import io
 import math
 from collections import Counter
 from fractions import Fraction
@@ -217,11 +216,9 @@ def float_code_to_text(code: EmbeddedCode) -> str:
 
 def gram_to_text(gram: Rows) -> str:
     """Header `N`, then N lines of N exact rational tokens."""
-    out = io.StringIO()
-    out.write(f"{len(gram)}\n")
-    for row in gram:
-        out.write(" ".join(str(x) for x in row) + "\n")
-    return out.getvalue()
+    lines = [str(len(gram))]
+    lines += [" ".join([str(x) for x in row]) for row in gram]
+    return "\n".join(lines) + "\n"
 
 
 def gram_from_text(text: str) -> Rows:

@@ -16,7 +16,6 @@ products is the tests' witness for every row.
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
@@ -205,13 +204,9 @@ def spectrum(code: LatticeCode) -> Spectrum:
 
 
 def code_to_text(code: LatticeCode) -> str:
-    out = io.StringIO()
-    out.write(
-        f"{code.ambient_dim} {len(code)} {code.scale} {code.norm_sq_scaled}\n"
-    )
-    for p in code.points:
-        out.write(" ".join(str(c) for c in p) + "\n")
-    return out.getvalue()
+    lines = [f"{code.ambient_dim} {len(code)} {code.scale} {code.norm_sq_scaled}"]
+    lines += [" ".join([str(c) for c in p]) for p in code.points]
+    return "\n".join(lines) + "\n"
 
 
 def code_from_text(text: str) -> LatticeCode:

@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from harmonic_codes.cli import main
+from harmonic_codes.cli import build_parser, main
 from harmonic_codes.codes import (
     GramView,
     certify,
@@ -25,7 +25,8 @@ from test_embedding import EXACT_GRAM_SHA256, FLOAT_EXPORT_SHA256
 
 README_TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
-NON_ANTIPODAL_BASIS = """\
+# The basis of R^3 and its negatives: antipodal, but short of the bound
+CROSS_POLYTOPE = """\
 3 6 1 1
 1 0 0
 0 1 0
@@ -44,6 +45,9 @@ SQUARE = """\
 -1 0
 0 -1
 """
+
+# Two points with no antipodes: every subcommand that builds a code rejects it
+NON_ANTIPODAL = "2 2 1 1\n1 0\n0 1\n"
 
 TWO_POINT = """\
 2 2 1 1
@@ -86,7 +90,7 @@ INPUTS = {
     "e8": code_to_text(generate_e8_roots()),
     "e8-scaled": _e8_scaled_text(),
     "d16": _dn_roots_text(16),
-    "cross-polytope": NON_ANTIPODAL_BASIS,
+    "cross-polytope": CROSS_POLYTOPE,
     "square": SQUARE,
     "two-point": TWO_POINT,
 }
@@ -106,6 +110,8 @@ MIXED_SCAN_SHA256 = "a8b9c97fbc03b9bd2b5f544035b38fda7ac61e3af16ee259c1867bf924e
 E8_CERTIFY_SHA256 = "a9484497a43dc8831745cba3bb1c7415b90cd026a8738cfdd20f68636fcb1fc6"
 CROSS_POLYTOPE_CERTIFY_SHA256 = "10372ec916ef9bf865cd1e8d5c5f693d12d364dd70978b26b3648457434e2e34"
 SQUARE_CERTIFY_SHA256 = "a9b9554a0216afc5f087ea3d93c5e413c16abb70ce66107729d9266143067543"
+# sha256 of the 240 scaled E8 roots as `roots` writes them
+E8_ROOTS_SHA256 = "c3b35d47ab7cde21729819fb927fb318fdd42dfc53b300f77b6002289c02d983"
 
 
 def _sha256(text):
@@ -122,7 +128,7 @@ def roots_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def basis_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "basis.code"
-    path.write_text(NON_ANTIPODAL_BASIS, encoding="utf-8")
+    path.write_text(CROSS_POLYTOPE, encoding="utf-8")
     return str(path)
 
 
@@ -181,6 +187,7 @@ def _readme_rows():
 
 
 ROWS = _readme_rows() + [
+    Row("roots --out -", out=_sha256_is(E8_ROOTS_SHA256)),
     # the degree-2 image of the E8 spectrum is equiangular, and 240 such points meet the bound
     Row("scan --in - -d 7 -k 2 --n-points 240", "0\n1/2\n-1/2\n", out=(
         '{"d": 7, "k": 2, "harmonic_dim": 35, "image": {"-1/2": "1/7", "0": "-1/7", "1/2": "1/7"}, '
@@ -227,7 +234,7 @@ ROWS = _readme_rows() + [
     # on the circle g2(0) = -1, so non-antipodal pairs carry -1 next to +1: coherence 1
     Row("certify --in -", "square", 1, _json_has(coherence="1", optimal_antipodal=False)),
     # certify's exit 1 on bad input is an error, not a verdict
-    Row("certify --in -", "2 2 1 1\n1 0\n0 1\n", 1, err="point (1, 0) has no antipode in the code"),
+    Row("certify --in -", NON_ANTIPODAL, 1, err="point (1, 0) has no antipode in the code"),
     Row("certify --in -", "two-point", 1, err="no admissible pair to take coherence over"),
     Row("build --in -", "", 1, err="empty code file"),
     Row("build --in -", "8 2 2 8\n1 1 1 1 1 1 1 1\n", 1, err="expected 2 points, found 1"),
@@ -279,6 +286,80 @@ def test_row(row, capsys, monkeypatch):
     else:
         assert out == ""
         assert err == f"harmonic-codes: {'error' if status == 1 else 'i/o error'}: {row.err}\n"
+
+
+# One run of every subcommand; main writes what the subcommand returns
+EVERY_SUBCOMMAND = [
+    ("roots", ""),
+    ("dim -d 7 -k 2", ""),
+    ("gegenbauer -d 7 -k 2", ""),
+    ("gegenbauer -d 7 -k 2 --at 1/2", ""),
+    ("build --in -", "e8"),
+    ("certify --in -", "e8"),
+    ("certify --in -", "cross-polytope"),
+    ("bound -n 240 --dim 35", ""),
+    ("design --in - --t-max 5", "e8"),
+    ("scan --in - -d 7 -k 1 --k-max 3 --n-points 240", "0\n1/2\n-1/2\n"),
+    ("export --exact --in -", "square"),
+    ("export --float --in -", "square"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin", EVERY_SUBCOMMAND, ids=[_row_id(Row(*pair)) for pair in EVERY_SUBCOMMAND]
+)
+def test_subcommands_return_their_output(argv, stdin, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(INPUTS.get(stdin, stdin)))
+    args = build_parser().parse_args(argv.split())
+    status, text = args.func(args)
+    assert tuple(capsys.readouterr()) == ("", "")
+    assert text.endswith("\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(INPUTS.get(stdin, stdin)))
+    assert main(argv.split()) == status
+    assert tuple(capsys.readouterr()) == (text, "")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        ("roots", ""),
+        ("scan --in - -d 7 -k 1 --k-max 12 --n-points 240", "0\n1/2\n-1/2\n"),
+        ("export --exact --in -", "e8"),
+        ("export --float --in -", "e8"),
+    ],
+    ids=["roots", "scan", "export-exact", "export-float"],
+)
+def test_every_out_destination_gets_the_same_bytes(argv, stdin, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "out.txt"
+    outputs = []
+    for out in ([], ["--out", "-"], ["--out", str(path)]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(INPUTS.get(stdin, stdin)))
+        assert main(argv.split() + out) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out.encode("utf-8"))
+    assert outputs[2] == b""  # a file written, stdout stays empty
+    outputs[2] = path.read_bytes()
+    assert outputs[0] == outputs[1] == outputs[2] != b""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        ("scan --in - -d 7 -k 2 --n-points 3", "0\n", "antipodal codes have an even number of points"),
+        ("export --exact --in -", NON_ANTIPODAL, "point (1, 0) has no antipode in the code"),
+    ],
+    ids=["scan-n-points-3", "export-non-antipodal"],
+)
+def test_failed_run_leaves_out_file_unchanged(argv, stdin, message, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"kept\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv.split() + ["--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"harmonic-codes: error: {message}\n"
+    assert path.read_bytes() == b"kept\n"
 
 
 def test_roots_to_file(tmp_path, capsys):
@@ -336,7 +417,7 @@ def test_gegenbauer_bad_point_exits_one(capsys):
         (lambda: SQUARE, 4, 2, "-1 1"),
         # its value table is only {-1: 2}; the 1 is the diagonal's
         (lambda: TWO_POINT, 2, 2, "-1 1"),
-        (lambda: NON_ANTIPODAL_BASIS, 6, 5, "-1 -1/2 1/2 1"),
+        (lambda: CROSS_POLYTOPE, 6, 5, "-1 -1/2 1/2 1"),
     ],
     ids=["e8", "square", "two-point", "cross-polytope-3"],
 )
@@ -384,7 +465,7 @@ def test_certify_bytes_are_pinned(roots_file, basis_file, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "make_text",
-    [lambda: code_to_text(generate_e8_roots()), lambda: NON_ANTIPODAL_BASIS, lambda: _dn_roots_text(4)],
+    [lambda: code_to_text(generate_e8_roots()), lambda: CROSS_POLYTOPE, lambda: _dn_roots_text(4)],
     ids=["e8", "cross-polytope-3", "d4-roots"],
 )
 def test_exit_code_is_the_report_verdict(make_text, capsys, monkeypatch):
@@ -398,7 +479,7 @@ def test_exit_code_is_the_report_verdict(make_text, capsys, monkeypatch):
     "text, message",
     [
         (TWO_POINT, "no admissible pair to take coherence over"),
-        (NON_ANTIPODAL_BASIS, "t_max must be at least 1"),
+        (CROSS_POLYTOPE, "t_max must be at least 1"),
     ],
     ids=["two-point", "cross-polytope-3"],
 )
