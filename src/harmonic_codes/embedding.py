@@ -8,10 +8,10 @@ g2 of the source inner product, so the E8 image is an antipodal code with
 all non-antipodal inner products 1/7 in absolute value.  A built code takes
 its Gram values from integer dot products: the histogram from the lattice
 spectrum, the exact Gram from each row of lattice.dot_fields through one
-shared Fraction per distinct dot.  The float export writes each coordinate
-in closed form from an integer key (p_i p_j off the diagonal), formatting
-each distinct key once; the explicit matrices (embed_degree2) are the
-tests' independent witness.
+shared Fraction per distinct dot, each formatted once by the exact writer.
+The float export writes each coordinate in closed form from an integer key
+(p_i p_j off the diagonal), formatting each distinct key once; the explicit
+matrices (embed_degree2) are the tests' independent witness.
 
 The matrix model lives here too, as plain tuples of Fraction rows, with its
 integer flattening (_integer_flat, as acceptance criterion 05 uses it) and
@@ -215,9 +215,18 @@ def float_code_to_text(code: EmbeddedCode) -> str:
 
 
 def gram_to_text(gram: Rows) -> str:
-    """Header `N`, then N lines of N exact rational tokens."""
-    lines = [str(len(gram))]
-    lines += [" ".join([str(x) for x in row]) for row in gram]
+    """Header `N`, then N lines of N exact rational tokens.
+
+    Each distinct entry object is formatted once, into one token table keyed
+    by id(x) across rows: the Gram keeps every entry alive, so no id repeats.
+    Built and read-back Grams share their entries; a Gram whose equal values
+    are distinct objects pays a table entry per entry (~2x the plain join).
+    """
+    token, lines = {}, [str(len(gram))]
+    for row in gram:
+        ids = list(map(id, row))
+        token.update({i: str(x) for i, x in dict(zip(ids, row)).items() if i not in token})
+        lines.append(" ".join(map(token.__getitem__, ids)))
     return "\n".join(lines) + "\n"
 
 

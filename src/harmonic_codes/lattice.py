@@ -8,10 +8,10 @@ becomes integral: stored norms are all 8.
 
 A code's dot products come from Kronecker packing (dot_fields): one
 big-integer product per point gives its dots with every point, in byte
-fields as wide as the Cauchy-Schwarz bound on the norm needs.  The spectrum
-tallies each row's later points, and the exact Gram of a built code maps
-each row through its kernel values; the double loop over scaled dot
-products is the tests' witness for every row.
+fields as wide as the Cauchy-Schwarz bound on the gcd-reduced norm needs.
+The spectrum tallies each row's later points, and the exact Gram of a built
+code maps each row through its kernel values; the double loop over scaled
+dot products is the tests' witness for every row.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import gcd
 from operator import mul
 
 # Normalized inner-product value -> count over ordered distinct pairs.
@@ -124,27 +125,29 @@ def dot_fields(code: LatticeCode) -> tuple[Callable[..., int], Iterator[Sequence
     wide, else the bytes object of the field.  Equal keys hold equal dots, so a
     caller can tally or tabulate keys and decode only the distinct ones.
 
-    The N points are packed into one integer as W = 2m - 1 signed slots of
-    `width` bytes each, point j's coordinates at slots jW .. jW + m - 1.  Its
-    product with point i's reversed row holds p_i . p_j at slot jW + m - 1,
-    and every other slot a dot of sub-vectors of p_i and p_j.  By
-    Cauchy-Schwarz and the equinorm premise no slot exceeds n = norm_sq_scaled
-    in absolute value, and `width` is the least byte count with
-    n < half = 2^(8 width - 1); so adding `half` to every slot makes each one
-    a base-256^width digit, and the product's bytes hold the dots with no
-    carry between them.
+    The points are divided by their coordinates' gcd g (dot(key) multiplies
+    back by g^2, so a scaled code packs as its primitive form) and packed into
+    one integer as W = 2m - 1 signed slots of `width` bytes each, point j's
+    coordinates at slots jW .. jW + m - 1.  Its product with point i's
+    reversed row holds p_i . p_j / g^2 at slot jW + m - 1, and every other
+    slot a dot of sub-vectors of the two.  By Cauchy-Schwarz and the equinorm
+    premise no slot exceeds n = norm_sq_scaled / g^2 in absolute value, and
+    `width` is the least byte count with n < half = 2^(8 width - 1); so adding
+    `half` to every slot makes each one a base-256^width digit, and the
+    product's bytes hold the dots with no carry between them.
     """
-    pts, m, norm = code.points, code.ambient_dim, code.norm_sq_scaled
-    width = norm.bit_length() // 8 + 1
+    pts, m = code.points, code.ambient_dim
+    coords = set().union(*pts)
+    g = gcd(*coords) or 1
+    width = (code.norm_sq_scaled // g**2).bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     slots = 2 * m - 1
     size = len(pts) * slots * width
-    coords = set().union(*pts)
     gap = bytes((m - 1) * width)
 
     def part(sign: int) -> int:
-        """The points' coordinates of that sign, as magnitudes in their slots."""
-        field = {c: max(sign * c, 0).to_bytes(width, "little") for c in coords}
+        """The points' reduced coordinates of that sign, as magnitudes in their slots."""
+        field = {c: max(sign * c // g, 0).to_bytes(width, "little") for c in coords}
         joined = gap.join([b"".join(map(field.__getitem__, p)) for p in pts])
         return int.from_bytes(joined, "little")
 
@@ -155,7 +158,7 @@ def dot_fields(code: LatticeCode) -> tuple[Callable[..., int], Iterator[Sequence
             return digits[m - 1 :: slots]
 
         def dot(key: int) -> int:
-            return key - half
+            return (key - half) * g**2
     else:
         from struct import Struct  # only wide fields need it; not loaded at start-up
 
@@ -163,13 +166,13 @@ def dot_fields(code: LatticeCode) -> tuple[Callable[..., int], Iterator[Sequence
         keys = Struct(f"{pad}{width}s{pad}" * len(pts)).unpack
 
         def dot(key: bytes) -> int:
-            return int.from_bytes(key, "little") - half
+            return (int.from_bytes(key, "little") - half) * g**2
 
     def rows() -> Iterator[Sequence]:
         for p in pts:
             row = 0
             for c in p:
-                row = (row << 8 * width) + c
+                row = (row << 8 * width) + c // g
             yield keys((packed * row + bias).to_bytes(size, "little"))
 
     return dot, rows()

@@ -2,8 +2,8 @@ import hashlib
 import io
 import json
 import re
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -20,8 +20,15 @@ from harmonic_codes.codes import (
 )
 from harmonic_codes.embedding import build_code, gram_from_text, gram_to_text
 from harmonic_codes.harmonics import gegenbauer_family, gegenbauer_values
-from harmonic_codes.lattice import LatticeCode, code_from_text, code_to_text, generate_e8_roots
-from test_embedding import EXACT_GRAM_SHA256, FLOAT_EXPORT_SHA256
+from harmonic_codes.lattice import (
+    LatticeCode,
+    code_from_text,
+    code_to_text,
+    generate_e8_roots,
+    scaled_dot,
+    select_antipodal_representatives,
+)
+from test_embedding import EXACT_GRAM_SHA256, FLOAT_EXPORT_SHA256, WIDE_FIELD, _dn_roots, _gram_text_witness
 
 README_TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -68,17 +75,6 @@ SIGNED_PERMUTATIONS_OF_1_2 = """\
 """
 
 
-def _dn_roots_text(n):
-    """The 2n(n - 1) roots +-e_i +-e_j of D_n."""
-    points = []
-    for i, j in combinations(range(n), 2):
-        for si, sj in product((-1, 1), repeat=2):
-            v = [0] * n
-            v[i], v[j] = si, sj
-            points.append(tuple(v))
-    return code_to_text(LatticeCode(n, 1, 2, tuple(points)))
-
-
 def _e8_scaled_text():
     # every coordinate times 8: norm 512 needs a 2-byte field in the pair count
     e8 = generate_e8_roots()
@@ -89,7 +85,9 @@ def _e8_scaled_text():
 INPUTS = {
     "e8": code_to_text(generate_e8_roots()),
     "e8-scaled": _e8_scaled_text(),
-    "d16": _dn_roots_text(16),
+    "d16": code_to_text(_dn_roots(16)),
+    "d4": code_to_text(_dn_roots(4)),
+    "wide-field": code_to_text(WIDE_FIELD),
     "cross-polytope": CROSS_POLYTOPE,
     "square": SQUARE,
     "two-point": TWO_POINT,
@@ -112,6 +110,9 @@ CROSS_POLYTOPE_CERTIFY_SHA256 = "10372ec916ef9bf865cd1e8d5c5f693d12d364dd70978b2
 SQUARE_CERTIFY_SHA256 = "a9b9554a0216afc5f087ea3d93c5e413c16abb70ce66107729d9266143067543"
 # sha256 of the 240 scaled E8 roots as `roots` writes them
 E8_ROOTS_SHA256 = "c3b35d47ab7cde21729819fb927fb318fdd42dfc53b300f77b6002289c02d983"
+# sha256 of the D4 roots' exact Gram: g2(1/2) = 0 at m = 4, so both blocks hold
+# the token 0, with no sign
+D4_EXACT_GRAM_SHA256 = "d89f97febdf55afe8556bcc9411b01ab2e4b72ccf8a8534d502444fbdbf75a23"
 
 
 def _sha256(text):
@@ -157,6 +158,31 @@ def _sha256_is(digest):
 
 def _json_has(**fields):
     return lambda out: {key: json.loads(out)[key] for key in fields} == fields
+
+
+def _witness_gram(name):
+    """The exact Gram of a named input by a double loop over the representatives'
+    scaled dots, mapped through g2(t) = (m t^2 - 1)/(m - 1) and signed by block
+    (point i + N is the image of representative i negated): the packed Gram's witness."""
+    reps = select_antipodal_representatives(code_from_text(INPUTS[name]))
+    m, n = reps.ambient_dim, reps.norm_sq_scaled
+    signed = [(s, p) for s in (1, -1) for p in reps.points]
+    return [
+        [s * r * (m * Fraction(scaled_dot(p, q), n) ** 2 - 1) / (m - 1) for r, q in signed]
+        for s, p in signed
+    ]
+
+
+def _is_witness_export(name):
+    return lambda out: out == _gram_text_witness(_witness_gram(name))
+
+
+def _has_witness_spectrum(name):
+    def check(out):
+        gram = _witness_gram(name)
+        counts = Counter(x for i, row in enumerate(gram) for j, x in enumerate(row) if i != j)
+        return json.loads(out)["spectrum"] == {str(v): c for v, c in counts.items()}
+    return check
 
 
 def _circle_images(out):
@@ -206,6 +232,10 @@ ROWS = _readme_rows() + [
     *(Row(f"export --{kind} --in -", name, out=_sha256_is(digest))
       for kind, digest in (("exact", EXACT_GRAM_SHA256), ("float", FLOAT_EXPORT_SHA256))
       for name in ("e8", "e8-scaled")),
+    Row("export --exact --in -", "d4", out=_sha256_is(D4_EXACT_GRAM_SHA256)),
+    # coprime coordinates of norm 130: a 2-byte dot field through export and certify
+    Row("export --exact --in -", "wide-field", out=_is_witness_export("wide-field")),
+    Row("certify --in -", "wide-field", 1, out=_has_witness_spectrum("wide-field")),
     Row("scan --in - -d 1 -k 1 --k-max 12", "1/2\n0\n", out=_circle_images),
     Row("scan --in - -d 4 -k 1 --k-max 12 --n-points 240", MIXED_SPECTRUM, out=_sha256_is(MIXED_SCAN_SHA256)),
     Row("gegenbauer -d 1 -k 12 --at 1/2", out="1\n"),  # T_12(1/2) = cos(4 pi)
@@ -372,14 +402,6 @@ def test_roots_to_file(tmp_path, capsys):
     assert all(len(line.split()) == 8 for line in lines[1:])
 
 
-def test_roots_to_stdout_matches_file(tmp_path, capsys):
-    out = tmp_path / "e8.code"
-    assert main(["roots", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["roots"]) == 0
-    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
-
-
 def test_gegenbauer_coefficients(capsys):
     assert main(["gegenbauer", "-d", "1", "-k", "12"]) == 0
     assert capsys.readouterr().out == "1 0 -72 0 840 0 -3584 0 6912 0 -6144 0 2048\n"
@@ -465,7 +487,7 @@ def test_certify_bytes_are_pinned(roots_file, basis_file, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "make_text",
-    [lambda: code_to_text(generate_e8_roots()), lambda: CROSS_POLYTOPE, lambda: _dn_roots_text(4)],
+    [lambda: code_to_text(generate_e8_roots()), lambda: CROSS_POLYTOPE, lambda: code_to_text(_dn_roots(4))],
     ids=["e8", "cross-polytope-3", "d4-roots"],
 )
 def test_exit_code_is_the_report_verdict(make_text, capsys, monkeypatch):

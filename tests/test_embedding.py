@@ -4,7 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +24,7 @@ from harmonic_codes.embedding import (
     parse_rational,
 )
 from harmonic_codes.harmonics import gegenbauer
-from harmonic_codes.lattice import LatticeCode, code_to_text, generate_e8_roots
+from harmonic_codes.lattice import LatticeCode, code_to_text, dot_fields, generate_e8_roots, spectrum
 
 # split of the 57120 non-antipodal gram entries, frozen from the exact scan
 POSITIVE_SEVENTH_COUNT = 28560
@@ -199,14 +199,29 @@ def test_float_export_format(e8_code):
     assert len(row) == 35
 
 
-def _d16_roots():
+def _dn_roots(n):
+    """The 2n(n - 1) roots +-e_i +-e_j of D_n."""
     points = []
-    for i, j in combinations(range(16), 2):
+    for i, j in combinations(range(n), 2):
         for si, sj in product((-1, 1), repeat=2):
-            v = [0] * 16
+            v = [0] * n
             v[i], v[j] = si, sj
             points.append(tuple(v))
-    return LatticeCode(16, 1, 2, tuple(points))
+    return LatticeCode(n, 1, 2, tuple(points))
+
+
+def _signed_permutations(base):
+    """Every signed permutation of base: an antipodal code of norm |base|^2."""
+    points = {
+        tuple(s * c for s, c in zip(signs, perm))
+        for perm in permutations(base)
+        for signs in product((-1, 1), repeat=len(base))
+    }
+    return LatticeCode(len(base), 1, sum(c * c for c in base), tuple(sorted(points)))
+
+
+# Coprime coordinates of norm 130: no gcd narrows its 2-byte dot field
+WIDE_FIELD = _signed_permutations((11, 3, 0))
 
 
 @st.composite
@@ -222,7 +237,7 @@ def antipodal_codes(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(antipodal_codes())
-@example(_d16_roots())
+@example(_dn_roots(16))
 def test_float_export_is_plain_formatting_of_the_witness(roots):
     # the per-key token table and the sign toggle against `.17g` of every
     # witness coordinate, and of its negation (-0 for a zero) in the second half
@@ -232,6 +247,66 @@ def test_float_export_is_plain_formatting_of_the_witness(roots):
     lines += [" ".join(f"{x:.17g}" for x in row) for row in rows]
     lines += [" ".join(f"{-x:.17g}" for x in row) for row in rows]
     assert float_code_to_text(code) == "\n".join(lines) + "\n"
+
+
+def _gram_text_witness(gram):
+    """The exact writer's witness: str() of every entry, row by row."""
+    lines = [str(len(gram))]
+    lines += [" ".join([str(x) for x in row]) for row in gram]
+    return "\n".join(lines) + "\n"
+
+
+# The Grams gram_to_text meets: built, read back, and one whose equal values
+# are distinct objects, which no caller makes but the id-keyed table must
+# still write right
+GRAM_KINDS = {
+    "built": lambda gram: gram,
+    "read-back": lambda gram: gram_from_text(_gram_text_witness(gram)),
+    "distinct": lambda gram: tuple(tuple(Fraction(x.numerator, x.denominator) for x in row) for row in gram),
+}
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(antipodal_codes())
+@example(_dn_roots(4))  # g2(1/2) = 0 at m = 4: the 0 token in both blocks
+@example(WIDE_FIELD)
+def test_gram_text_matches_the_witness(kind, roots):
+    gram = GRAM_KINDS[kind](build_code(roots).gram)
+    assert gram_to_text(gram) == _gram_text_witness(gram)
+
+
+def test_built_gram_shares_its_entries(e8_code):
+    # at most one +g2 and one -g2 object per distinct dot key: the sharing
+    # that lets gram_to_text format a few objects, not 57,600 entries
+    _, rows = dot_fields(e8_code.reps)
+    keys = set().union(*rows)
+    assert len({id(x) for row in e8_code.gram for x in row}) <= 2 * len(keys)
+
+
+def test_wide_field_code_packs_wide():
+    # gcd 1 and norm 130 >= 128: rows of 2-byte fields, unpacked as tuples
+    assert type(next(dot_fields(WIDE_FIELD)[1])) is tuple
+
+
+def _scaled(code, s):
+    return LatticeCode(
+        code.ambient_dim, code.scale * s, code.norm_sq_scaled * s * s,
+        tuple(tuple(s * c for c in p) for p in code.points),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(antipodal_codes(), st.integers(1, 10**8))
+@example(WIDE_FIELD, 10**8)
+@example(_dn_roots(4), 12)
+def test_scaling_keeps_spectrum_and_gram(roots, s):
+    # the packer divides out the coordinates' gcd: the scaled code packs in
+    # the primitive code's field width and gives the same values
+    scaled = _scaled(roots, s)
+    assert spectrum(scaled) == spectrum(roots)
+    assert build_code(scaled).gram == build_code(roots).gram
+    assert type(next(dot_fields(scaled)[1])) is type(next(dot_fields(roots)[1]))
 
 
 def test_gram_text_round_trip(e8_code):

@@ -140,8 +140,12 @@ def test_spectrum_single_antipodal_pair():
 
 
 def _vector_of_norm(n):
-    """A vector of squared norm n: the largest square that fits, then the rest."""
-    v = []
+    """A vector of squared norm n: a 1, then the largest square that fits, then the rest.
+
+    The 1 keeps the coordinates' gcd at 1, so the packer cannot divide the
+    field down from the width n needs.
+    """
+    v, n = [1], n - 1
     while n:
         v.append(isqrt(n))
         n -= v[-1] ** 2
@@ -184,6 +188,8 @@ def test_spectrum_matches_pair_witness(code):
 def test_spectrum_at_field_width_boundaries(norm):
     base = _vector_of_norm(norm)
     code = LatticeCode(len(base), 1, norm, _signed_permutations(base, 100, random.Random(norm)))
+    # only n < 128 packs in one-byte fields, read as bytes
+    assert isinstance(next(dot_fields(code)[1]), bytes) is (norm < 128)
     assert spectrum(code) == _pair_witness(code)
     assert _dot_rows(code) == _dot_witness(code)
 
