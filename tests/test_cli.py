@@ -402,6 +402,14 @@ def test_roots_to_file(tmp_path, capsys):
     assert all(len(line.split()) == 8 for line in lines[1:])
 
 
+def test_roots_to_stdout_matches_file(tmp_path, capsys):
+    out = tmp_path / "e8.code"
+    assert main(["roots", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["roots"]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
 def test_gegenbauer_coefficients(capsys):
     assert main(["gegenbauer", "-d", "1", "-k", "12"]) == 0
     assert capsys.readouterr().out == "1 0 -72 0 840 0 -3584 0 6912 0 -6144 0 2048\n"
