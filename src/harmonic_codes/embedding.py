@@ -7,8 +7,9 @@ vectors whose normalized dot products are the degree-2 Gegenbauer value
 g2 of the source inner product, so the E8 image is an antipodal code with
 all non-antipodal inner products 1/7 in absolute value.  A built code takes
 its Gram values from integer dot products: the histogram from the lattice
-spectrum, the exact Gram from each row of lattice.dot_fields through one
-shared Fraction per distinct dot, each formatted once by the exact writer.
+spectrum, the exact Gram from each column-packed dot row of
+lattice.dot_fields (a point's dots with every point, one field each) through
+one shared Fraction per distinct dot, each formatted once by the exact writer.
 The float export writes each coordinate in closed form from an integer key
 (p_i p_j off the diagonal), formatting each distinct key once; the explicit
 matrices (embed_degree2) are the tests' independent witness.

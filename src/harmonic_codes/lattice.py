@@ -6,12 +6,13 @@ Fraction.  The 240 E8 roots are generated in the even coordinate system
 (lattice norm^2 = 2) and multiplied by 2 so the half-integer shape
 becomes integral: stored norms are all 8.
 
-A code's dot products come from Kronecker packing (dot_fields): one
-big-integer product per point gives its dots with every point, in byte
-fields as wide as the Cauchy-Schwarz bound on the gcd-reduced norm needs.
-The spectrum tallies each row's later points, and the exact Gram of a built
-code maps each row through its kernel values; the double loop over scaled
-dot products is the tests' witness for every row.
+A code's dot products come from column packing (dot_fields): each
+coordinate is packed once as one big integer over all points, and a point's
+row is a few small multiples of those columns, whose byte fields hold its
+dots with every point, as wide as the Cauchy-Schwarz bound on the
+gcd-reduced norm needs.  The spectrum tallies each row's later points, and
+the exact Gram of a built code maps each row through its kernel values; the
+double loop over scaled dot products is the tests' witness for every row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd
-from operator import mul
+from operator import mul, neg, sub
 
 # Normalized inner-product value -> count over ordered distinct pairs.
 Spectrum = dict[Fraction, int]
@@ -71,7 +72,7 @@ class LatticeCode:
 
     def is_antipodal(self) -> bool:
         point_set = set(self.points)
-        return all(tuple(-c for c in p) in point_set for p in self.points)
+        return all(tuple(map(neg, p)) in point_set for p in self.points)
 
 
 def generate_e8_roots() -> LatticeCode:
@@ -103,10 +104,10 @@ def select_antipodal_representatives(code: LatticeCode) -> LatticeCode:
     point_set = set(code.points)
     kept = []
     for p in code.points:
-        neg = tuple(-c for c in p)
-        if neg not in point_set:
+        minus = tuple(map(neg, p))
+        if minus not in point_set:
             raise ValueError(f"point {p} has no antipode in the code")
-        if p > neg:
+        if p > minus:
             kept.append(p)
     return LatticeCode(
         ambient_dim=code.ambient_dim,
@@ -117,65 +118,59 @@ def select_antipodal_representatives(code: LatticeCode) -> LatticeCode:
 
 
 def dot_fields(code: LatticeCode) -> tuple[Callable[..., int], Iterator[Sequence]]:
-    """Each point's dot products with every point, as the fields of one product.
+    """Each point's dot products with every point, as the fields of one integer.
 
     Returns (dot, rows): rows yields, for each point i in order, a sequence
     whose j-th key holds p_i . p_j, and dot(key) is that dot product.  A key is
-    a biased field of a packed product: its byte when the field is one byte
-    wide, else the bytes object of the field.  Equal keys hold equal dots, so a
+    a biased field of a packed row: its byte when the field is one byte wide,
+    else the bytes object of the field.  Equal keys hold equal dots, so a
     caller can tally or tabulate keys and decode only the distinct ones.
 
     The points are divided by their coordinates' gcd g (dot(key) multiplies
-    back by g^2, so a scaled code packs as its primitive form) and packed into
-    one integer as W = 2m - 1 signed slots of `width` bytes each, point j's
-    coordinates at slots jW .. jW + m - 1.  Its product with point i's
-    reversed row holds p_i . p_j / g^2 at slot jW + m - 1, and every other
-    slot a dot of sub-vectors of the two.  By Cauchy-Schwarz and the equinorm
-    premise no slot exceeds n = norm_sq_scaled / g^2 in absolute value, and
-    `width` is the least byte count with n < half = 2^(8 width - 1); so adding
-    `half` to every slot makes each one a base-256^width digit, and the
-    product's bytes hold the dots with no carry between them.
+    back by g^2, so a scaled code packs as its primitive form).  Each
+    coordinate k is packed once as the column C_k = sum_j (p_j[k]/g) B^j with
+    B = 256^width, and row i is bias + sum_k (p_i[k]/g) C_k over its nonzero
+    coordinates: a few small multiples of big integers, whose base-B digit j
+    is p_i . p_j / g^2 + half.  Each digit holds a full dot, which by
+    Cauchy-Schwarz and the equinorm premise is at most n = norm_sq_scaled / g^2
+    in absolute value; `width` is the least byte count with n < half =
+    2^(8 width - 1), so every biased dot lies in [0, B) and the row's bytes
+    hold the dots with no carry between them.
     """
-    pts, m = code.points, code.ambient_dim
+    pts = code.points
     coords = set().union(*pts)
     g = gcd(*coords) or 1
     width = (code.norm_sq_scaled // g**2).bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
-    slots = 2 * m - 1
-    size = len(pts) * slots * width
-    gap = bytes((m - 1) * width)
+    size = len(pts) * width
 
-    def part(sign: int) -> int:
-        """The points' reduced coordinates of that sign, as magnitudes in their slots."""
+    def part(sign: int) -> list[int]:
+        """Each coordinate's reduced values of that sign, as magnitudes in their fields."""
         field = {c: max(sign * c // g, 0).to_bytes(width, "little") for c in coords}
-        joined = gap.join([b"".join(map(field.__getitem__, p)) for p in pts])
-        return int.from_bytes(joined, "little")
+        return [int.from_bytes(b"".join(map(field.__getitem__, col)), "little") for col in zip(*pts)]
 
-    packed = part(1) - part(-1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * (len(pts) * slots), "little")
+    columns = list(map(sub, part(1), part(-1)))
+    bias = int.from_bytes(half.to_bytes(width, "little") * len(pts), "little")
+
+    def rows() -> Iterator[bytes]:
+        for p in pts:
+            row = bias
+            for c, column in zip(p, columns):
+                if c:
+                    row += c // g * column
+            yield row.to_bytes(size, "little")
+
     if width == 1:
-        def keys(digits: bytes) -> bytes:
-            return digits[m - 1 :: slots]
-
         def dot(key: int) -> int:
             return (key - half) * g**2
-    else:
-        from struct import Struct  # only wide fields need it; not loaded at start-up
 
-        pad = f"{(m - 1) * width}x"
-        keys = Struct(f"{pad}{width}s{pad}" * len(pts)).unpack
+        return dot, rows()
+    from struct import Struct  # only wide fields need it; not loaded at start-up
 
-        def dot(key: bytes) -> int:
-            return (int.from_bytes(key, "little") - half) * g**2
+    def wide_dot(key: bytes) -> int:
+        return (int.from_bytes(key, "little") - half) * g**2
 
-    def rows() -> Iterator[Sequence]:
-        for p in pts:
-            row = 0
-            for c in p:
-                row = (row << 8 * width) + c // g
-            yield keys((packed * row + bias).to_bytes(size, "little"))
-
-    return dot, rows()
+    return wide_dot, map(Struct(f"{width}s" * len(pts)).unpack, rows())
 
 
 def spectrum(code: LatticeCode) -> Spectrum:
@@ -229,7 +224,7 @@ def code_from_text(text: str) -> LatticeCode:
     if len(body) != n:
         raise ValueError(f"expected {n} points, found {len(body)}")
     try:
-        points = tuple(tuple(int(tok) for tok in line.split()) for line in body)
+        points = tuple(tuple(map(int, line.split())) for line in body)
     except ValueError as exc:
         raise ValueError("non-integer coordinate") from exc
     return LatticeCode(

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonic_codes.lattice import (
@@ -177,8 +177,29 @@ def equinorm_codes(draw):
     return LatticeCode(len(base), 1, sum(c * c for c in base), points)
 
 
+def _cross_polytope(m, scale):
+    return tuple(tuple(s * scale * (k == i) for k in range(m)) for i in range(m) for s in (-1, 1))
+
+
+def _antipodal_pair(norm):
+    v = _vector_of_norm(norm)
+    return LatticeCode(len(v), 1, norm, (v, tuple(-c for c in v)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(equinorm_codes())
+# one column all zero, so its packed column is 0: points in the xy-plane of Z^3
+@example(LatticeCode(3, 1, 5, ((1, 2, 0), (2, -1, 0), (-2, 1, 0), (-1, -2, 0), (2, 1, 0))))
+# one point; the line, where the gcd divides both points down to +-1
+@example(LatticeCode(2, 1, 13, ((3, -2),)))
+@example(LatticeCode(1, 1, 9, ((-3,), (3,))))
+@example(LatticeCode(1, 1, 4, ((2,),)))
+# dots only +-n and 0: the Cauchy-Schwarz ends, bare and scaled
+@example(LatticeCode(4, 1, 1, _cross_polytope(4, 1)))
+@example(LatticeCode(3, 7, 49, _cross_polytope(3, 7)))
+# +-n with n = half - 1 fills the field from digit 1 to digit 2 half - 1
+@example(_antipodal_pair(127))
+@example(_antipodal_pair(2**15 - 1))
 def test_spectrum_matches_pair_witness(code):
     assert spectrum(code) == _pair_witness(code)
     assert _dot_rows(code) == _dot_witness(code)
