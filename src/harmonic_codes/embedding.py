@@ -11,8 +11,10 @@ spectrum, the exact Gram from each column-packed dot row of
 lattice.dot_fields (a point's dots with every point, one field each) through
 one shared Fraction per distinct dot, each formatted once by the exact writer.
 The float export writes each coordinate in closed form from an integer key
-(p_i p_j off the diagonal), formatting each distinct key once; the explicit
-matrices (embed_degree2) are the tests' independent witness.
+(p_i p_j off the diagonal), formatting each distinct key once.  Its float
+witness lives in the tests and recomputes every coordinate from the point
+alone; the keys are checked exactly against the explicit matrices
+(embed_degree2).
 
 The matrix model lives here too, as plain tuples of Fraction rows, with its
 integer flattening (_integer_flat, as acceptance criterion 05 uses it) and
@@ -155,10 +157,16 @@ def build_code(roots: LatticeCode) -> EmbeddedCode:
 
 
 def _coordinate_keys(p: tuple[int, ...]) -> list:
-    """The integers each coordinate of M_x is a closed form of (see flatten_coordinates).
+    """The integers each coordinate of M_x, x = p/|p|, is a closed form of.
 
-    Off the diagonal, coordinate (i, j) depends only on p_i p_j; on it, chain
-    element r depends only on (s, r), s = sum_{k<r} p_k^2 - r p_r^2.
+    Basis of the traceless symmetric matrices of order m: the off-diagonal
+    units (e_i e_j^T + e_j e_i^T)/sqrt(2) for i < j, then the diagonal
+    chain diag(1,...,1,-r,0,...,0)/sqrt(r(r+1)) for r = 1..m-1.  With
+    n = |p|^2 the -I/m term cancels in every coordinate and |M_x|^2 =
+    (m - 1)/m, so each unit coordinate is an integer ratio over one norm:
+    off the diagonal, coordinate (i, j) depends only on p_i p_j; on it, chain
+    element r depends only on (s, r), s = sum_{k<r} p_k^2 - r p_r^2.  There
+    are m(m+1)/2 - 1 keys, one per coordinate.
     """
     keys = [a * b for a, b in combinations(p, 2)]
     partial = 0
@@ -174,23 +182,6 @@ def _coordinate(key, n: int, norm: float) -> float:
         s, r = key
         return (s / n) / (math.sqrt(r * (r + 1)) * norm)
     return math.sqrt(2.0) * (key / n) / norm
-
-
-def flatten_coordinates(code: LatticeCode, index: int) -> list[float]:
-    """Unit coordinate vector of M_x, x = code.points[index], in an orthonormal basis.
-
-    Basis of the traceless symmetric matrices of order m: the off-diagonal
-    units (e_i e_j^T + e_j e_i^T)/sqrt(2) for i < j, then the diagonal
-    chain diag(1,...,1,-r,0,...,0)/sqrt(r(r+1)) for r = 1..m-1.  With
-    p = x scaled to integers and n = |p|^2, the -I/m term cancels in every
-    coordinate and |M_x|^2 = (m - 1)/m, so each coordinate is an integer
-    ratio over one norm.  Output length is m(m+1)/2 - 1; the Euclidean norm
-    is 1 up to float rounding.  float_code_to_text writes the same closed
-    forms; this is its witness.
-    """
-    n, m = code.norm_sq_scaled, code.ambient_dim
-    norm = math.sqrt((m - 1) / m)
-    return [_coordinate(key, n, norm) for key in _coordinate_keys(code.points[index])]
 
 
 # --- export formats ---------------------------------------------------------

@@ -39,8 +39,7 @@ class GegenbauerPoly:
 
     coeffs holds k+1 Fraction coefficients, constant term first.  Only
     every other coefficient can be nonzero (the polynomial has the parity
-    of its degree).  The polynomial is its coefficients, so P_0 = 1 and
-    P_1 = t of every S^d compare equal.
+    of its degree).
     """
 
     def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
@@ -51,14 +50,6 @@ class GegenbauerPoly:
             raise ValueError("coefficient of the wrong parity for the degree")
         if sum(self.coeffs[::-2]) != 1:
             raise ValueError("polynomial is not normalized at t = 1")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GegenbauerPoly) and self.coeffs == other.coeffs
-
-    @property
-    def k(self) -> int:
-        """The degree."""
-        return len(self.coeffs) - 1
 
     def evaluate(self, t: int | Fraction) -> Fraction:
         """Exact Horner evaluation."""
@@ -92,11 +83,6 @@ def _family_coefficients(d: int, k_max: int) -> list[list[Fraction]]:
     return family[: k_max + 1]
 
 
-def gegenbauer_family(d: int, k_max: int) -> tuple[GegenbauerPoly, ...]:
-    """Normalized Gegenbauer polynomials P_0, ..., P_k_max for S^d, each checked."""
-    return tuple(GegenbauerPoly(coeffs=tuple(coeffs)) for coeffs in _family_coefficients(d, k_max))
-
-
 def gegenbauer(d: int, k: int) -> GegenbauerPoly:
     """Normalized degree-k Gegenbauer polynomial for S^d; of its family only this member is checked."""
     return GegenbauerPoly(coeffs=tuple(_family_coefficients(d, k)[-1]))
@@ -107,7 +93,7 @@ def gegenbauer_values(d: int, t: int | Fraction, degrees: Iterable[int]) -> list
 
     At t = p/q the family's recurrence keeps a_j over q^j d(d+1)...(j+d-2):
     a_0 = 1, a_1 = p, a_j = (2j+d-3) p a_{j-1} - (j-1)(j+d-3) q^2 a_{j-2}, the
-    factor j+d-3 read as 1 at j = 2.  It raises as gegenbauer_family does.
+    factor j+d-3 read as 1 at j = 2.  It raises as gegenbauer does.
     """
     if d < 1:
         raise ValueError("sphere dimension must be >= 1")

@@ -19,7 +19,7 @@ from harmonic_codes.codes import (
     report_to_json,
 )
 from harmonic_codes.embedding import build_code, gram_from_text, gram_to_text
-from harmonic_codes.harmonics import gegenbauer_family, gegenbauer_values
+from harmonic_codes.harmonics import _family_coefficients, gegenbauer_values
 from harmonic_codes.lattice import (
     LatticeCode,
     code_from_text,
@@ -608,7 +608,7 @@ def test_scan_bytes_are_pinned(capsys, monkeypatch):
 def test_scan_and_design_run_one_recurrence_each(roots_file, capsys, monkeypatch):
     # the k = 1..12 sweep with its candidates, and the t = 12 design fold, run
     # the point recurrence once per value, each to the top degree, and build
-    # no coefficient family
+    # no coefficients: the spy sits under gegenbauer() too
     runs, families = [], []
 
     def counted(d, t, degrees):
@@ -618,11 +618,11 @@ def test_scan_and_design_run_one_recurrence_each(roots_file, capsys, monkeypatch
 
     def family(d, k_max):
         families.append((d, k_max))
-        return gegenbauer_family(d, k_max)
+        return _family_coefficients(d, k_max)
 
     monkeypatch.setattr("harmonic_codes.analyzer.gegenbauer_values", counted)
     monkeypatch.setattr("harmonic_codes.codes.gegenbauer_values", counted)
-    monkeypatch.setattr("harmonic_codes.harmonics.gegenbauer_family", family)
+    monkeypatch.setattr("harmonic_codes.harmonics._family_coefficients", family)
     monkeypatch.setattr("sys.stdin", io.StringIO("0\n1/2\n-1/2\n"))
     assert main(PINNED_SCAN) == 0
     assert sorted(runs) == [(7, Fraction(-1, 2), 12), (7, 0, 12), (7, Fraction(1, 2), 12)]

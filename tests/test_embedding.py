@@ -17,7 +17,6 @@ from harmonic_codes.embedding import (
     _integer_flat,
     build_code,
     embed_degree2,
-    flatten_coordinates,
     float_code_to_text,
     gram_from_text,
     gram_to_text,
@@ -41,6 +40,23 @@ def _sha256(text):
 
 def _float_rows(code):
     return [[float(x) for x in line.split()] for line in float_code_to_text(code).splitlines()[1:]]
+
+
+def flatten_coordinates(code, index):
+    """The float writer's witness: the unit coordinates of M_x, from p = code.points[index] alone.
+
+    With n = |p|^2 and |M| = sqrt((m-1)/m), the off-diagonal coordinates
+    (i < j) are sqrt(2) (p_i p_j / n) / |M|, then the diagonal chain gives
+    (sum_{k<r} p_k^2 - r p_r^2) / n / (sqrt(r(r+1)) |M|) for r = 1..m-1.
+    """
+    p, n, m = code.points[index], code.norm_sq_scaled, code.ambient_dim
+    norm = math.sqrt((m - 1) / m)
+    off = [math.sqrt(2.0) * (p[i] * p[j] / n) / norm for i, j in combinations(range(m), 2)]
+    chain = [
+        (sum(c * c for c in p[:r]) - r * p[r] * p[r]) / n / (math.sqrt(r * (r + 1)) * norm)
+        for r in range(1, m)
+    ]
+    return off + chain
 
 
 def _witness(code, i, j):
@@ -247,6 +263,29 @@ def test_float_export_is_plain_formatting_of_the_witness(roots):
     lines += [" ".join(f"{x:.17g}" for x in row) for row in rows]
     lines += [" ".join(f"{-x:.17g}" for x in row) for row in rows]
     assert float_code_to_text(code) == "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(antipodal_codes())
+@example(generate_e8_roots())
+@example(_dn_roots(16))
+def test_coordinate_keys_are_exact_closed_forms_of_the_matrix_model(roots):
+    # every point's float keys against its explicit M_x, exactly: an off-diagonal
+    # key over n is M[i][j], a chain key (s, r) gives s/n = sum_{k<r} M[k][k]
+    # - r M[r][r], and the coordinates' squares sum to |M_x|^2 = (m - 1)/m
+    n, m = roots.norm_sq_scaled, roots.ambient_dim
+    pairs = list(combinations(range(m), 2))
+    for index, p in enumerate(roots.points):
+        matrix = embed_degree2(roots, index)
+        keys = embedding._coordinate_keys(p)
+        off, chain = keys[: len(pairs)], keys[len(pairs) :]
+        assert [Fraction(key, n) for key in off] == [matrix[i][j] for i, j in pairs]
+        assert [r for _, r in chain] == list(range(1, m))
+        diagonal = [matrix[r][r] for r in range(m)]
+        assert [Fraction(s, n) for s, _ in chain] == [sum(diagonal[:r]) - r * diagonal[r] for r in range(1, m)]
+        squares = sum(2 * matrix[i][j] ** 2 for i, j in pairs)
+        squares += sum(Fraction(s, n) ** 2 / (r * (r + 1)) for s, r in chain)
+        assert squares == Fraction(m - 1, m)
 
 
 def _gram_text_witness(gram):

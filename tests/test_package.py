@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import re
@@ -11,6 +12,7 @@ from test_cli import PINNED_SCAN, PINNED_SCAN_SHA256
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+PACKAGE = ROOT / "src" / "harmonic_codes"
 
 
 def _fresh_import(name):
@@ -75,3 +77,40 @@ def test_entry_points_run_cli_main():
     import harmonic_codes.cli
 
     assert harmonic_codes.__main__.main is harmonic_codes.cli.main
+
+
+def _top_level(path):
+    """(name, node) of each module-level statement in path; name is None unless it
+    is a function or class definition."""
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        yield (stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None), stmt
+
+
+def _named(path):
+    """(owner, name) of every Name, Attribute and import alias in path, where owner
+    is the module-level definition the node sits in (None outside one)."""
+    for owner, stmt in _top_level(path):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+            elif isinstance(node, ast.alias):
+                yield owner, node.name
+
+
+def test_every_public_definition_has_a_caller_outside_the_unit_tests():
+    # a public function or class that only the unit tests name belongs in the
+    # tests, as the witness it is; the package, the bench and the acceptance
+    # suite count as callers, a definition's own body does not
+    callers = {}
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
+        for owner, name in _named(path):
+            callers.setdefault(name, set()).add((path, owner))
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, _ in _top_level(path)
+        if name and not name.startswith("_") and not callers.get(name, set()) - {(path, name)}
+    ]
+    assert unused == []
