@@ -9,7 +9,9 @@ all non-antipodal inner products 1/7 in absolute value.  A built code takes
 its Gram values from integer dot products: the histogram from the lattice
 spectrum, the exact Gram from each column-packed dot row of
 lattice.dot_fields (a point's dots with every point, one field each) through
-one shared Fraction per distinct dot, each formatted once by the exact writer.
+one shared Fraction per distinct dot, each formatted once by the exact writer,
+which joins each top half-row once and writes bottom row i + N as top row i
+with its halves swapped whenever the two rows show that symmetry.
 The float export writes each coordinate in closed form from an integer key
 (p_i p_j off the diagonal), formatting each distinct key once.  Its float
 witness lives in the tests and recomputes every coordinate from the point
@@ -213,12 +215,28 @@ def gram_to_text(gram: Rows) -> str:
     by id(x) across rows: the Gram keeps every entry alive, so no id repeats.
     Built and read-back Grams share their entries; a Gram whose equal values
     are distinct objects pays a table entry per entry (~2x the plain join).
+
+    Top row i < h = N // 2 joins its two halves once; bottom row i + h is
+    those halves swapped when row[:h] == top[h:] and row[h:] == top[:h], as
+    in [[B, -B], [-B, B]] (str(Fraction) is canonical: equal entries, equal
+    tokens).  Any other row, and every row of an odd N, whose halves differ in
+    length so the check fails, goes through the token table.
     """
-    token, lines = {}, [str(len(gram))]
-    for row in gram:
+    h = len(gram) // 2
+    token, swapped, lines = {}, [], [str(len(gram))]
+    for i, row in enumerate(gram):
+        if i >= h and row[:h] == (top := gram[i - h])[h:] and row[h:] == top[:h]:
+            lines.append(swapped[i - h])
+            continue
         ids = list(map(id, row))
-        token.update({i: str(x) for i, x in dict(zip(ids, row)).items() if i not in token})
-        lines.append(" ".join(map(token.__getitem__, ids)))
+        token.update({k: str(x) for k, x in dict(zip(ids, row)).items() if k not in token})
+        tokens = list(map(token.__getitem__, ids))
+        if i < h:
+            left, right = " ".join(tokens[:h]), " ".join(tokens[h:])
+            swapped.append(right + " " + left)
+            lines.append(left + " " + right)
+        else:
+            lines.append(" ".join(tokens))
     return "\n".join(lines) + "\n"
 
 

@@ -223,10 +223,12 @@ def code_from_text(text: str) -> LatticeCode:
     body = [line for line in lines[1:] if line.strip()]
     if len(body) != n:
         raise ValueError(f"expected {n} points, found {len(body)}")
+    split = [line.split() for line in body]
     try:
-        points = tuple(tuple(map(int, line.split())) for line in body)
+        value = {tok: int(tok) for tok in set().union(*split)}
     except ValueError as exc:
         raise ValueError("non-integer coordinate") from exc
+    points = tuple(tuple(map(value.__getitem__, row)) for row in split)
     return LatticeCode(
         ambient_dim=ambient_dim,
         scale=scale,

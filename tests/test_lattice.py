@@ -266,6 +266,8 @@ def test_bad_files_rejected():
         code_from_text("2 2 1 1\n1 0\n")  # missing point
     with pytest.raises(ValueError, match="non-integer coordinate"):
         code_from_text("2 1 1 1\n1 x\n")  # non-integer
+    with pytest.raises(ValueError, match="non-integer coordinate"):
+        code_from_text("2 2 1 1\n1 0\n0 1.0\n")  # first seen in a later row
     with pytest.raises(ValueError, match=r"point \(1, 1\) is not of the declared norm"):
         code_from_text("2 1 1 1\n1 1\n")  # wrong norm
     with pytest.raises(ValueError, match="point count -1 is negative"):
