@@ -14,7 +14,6 @@ bound.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -222,6 +221,8 @@ def format_bound(bound: QuadraticBound) -> str:
 
 
 def report_to_json(report: CodeReport) -> str:
+    import json  # only certify writes JSON here; not loaded at start-up
+
     return json.dumps({
         "ambient_dim": report.ambient_dim,
         "n_points": report.n_points,

@@ -10,7 +10,8 @@ its Gram values from integer dot products: the histogram from the lattice
 spectrum, the exact Gram from each column-packed dot row of
 lattice.dot_fields (a point's dots with every point, one field each) through
 one shared Fraction per distinct dot, each formatted once by the exact writer,
-which joins each top half-row once and writes bottom row i + N as top row i
+which joins each top half-row once, straight from its entries' id lookups in a
+token table filled only on a miss, and writes bottom row i + N as top row i
 with its halves swapped whenever the two rows show that symmetry.
 The float export writes each coordinate in closed form from an integer key
 (p_i p_j off the diagonal), formatting each distinct key once.  Its float
@@ -39,7 +40,10 @@ def parse_rational(token: str) -> Fraction:
     """A p/q (or plain decimal) token as a Fraction; malformed tokens are a ValueError.
 
     Exponent notation is rejected: 1e29999999 would expand to a huge integer.
+    So are non-ASCII digits and `_` separators, which Fraction() would read.
     """
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"bad rational token {token!r}")
     if "e" in token or "E" in token:
         raise ValueError(f"exponent notation is not accepted: {token!r}")
     try:
@@ -109,9 +113,9 @@ class EmbeddedCode:
         minus = {key: -v for key, v in plus.items()}
         top, bottom = [], []
         for row in rows:
-            b, minus_b = list(map(plus.__getitem__, row)), list(map(minus.__getitem__, row))
-            top.append(tuple(b + minus_b))
-            bottom.append(tuple(minus_b + b))
+            b, minus_b = tuple(map(plus.__getitem__, row)), tuple(map(minus.__getitem__, row))
+            top.append(b + minus_b)
+            bottom.append(minus_b + b)
         return tuple(top + bottom)
 
 
@@ -213,30 +217,38 @@ def gram_to_text(gram: Rows) -> str:
 
     Each distinct entry object is formatted once, into one token table keyed
     by id(x) across rows: the Gram keeps every entry alive, so no id repeats.
-    Built and read-back Grams share their entries; a Gram whose equal values
-    are distinct objects pays a table entry per entry (~2x the plain join).
+    Each half-row is joined straight from its id lookups; only a lookup that
+    misses (a KeyError) fills the table from that part and joins it again.
+    Built and read-back Grams share their entries, so only their first rows
+    miss.  A Gram whose equal values are distinct objects misses on every
+    part and pays a failed join before each fill: ~9x the built Gram's time.
 
     Top row i < h = N // 2 joins its two halves once; bottom row i + h is
     those halves swapped when row[:h] == top[h:] and row[h:] == top[:h], as
     in [[B, -B], [-B, B]] (str(Fraction) is canonical: equal entries, equal
-    tokens).  Any other row, and every row of an odd N, whose halves differ in
-    length so the check fails, goes through the token table.
+    tokens).  Any other bottom row is joined whole, as is every bottom row of
+    an odd N, whose halves differ in length so the check fails.
     """
     h = len(gram) // 2
     token, swapped, lines = {}, [], [str(len(gram))]
+    get = token.__getitem__
+
+    def joined(part: tuple[Fraction, ...]) -> str:
+        try:
+            return " ".join(map(get, map(id, part)))
+        except KeyError:
+            token.update({k: str(x) for k, x in dict(zip(map(id, part), part)).items() if k not in token})
+            return " ".join(map(get, map(id, part)))
+
     for i, row in enumerate(gram):
         if i >= h and row[:h] == (top := gram[i - h])[h:] and row[h:] == top[:h]:
             lines.append(swapped[i - h])
-            continue
-        ids = list(map(id, row))
-        token.update({k: str(x) for k, x in dict(zip(ids, row)).items() if k not in token})
-        tokens = list(map(token.__getitem__, ids))
-        if i < h:
-            left, right = " ".join(tokens[:h]), " ".join(tokens[h:])
+        elif i < h:
+            left, right = joined(row[:h]), joined(row[h:])
             swapped.append(right + " " + left)
             lines.append(left + " " + right)
         else:
-            lines.append(" ".join(tokens))
+            lines.append(joined(row))
     return "\n".join(lines) + "\n"
 
 

@@ -207,6 +207,20 @@ def code_to_text(code: LatticeCode) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integers(tokens: set[str], message: str) -> dict[str, int]:
+    """Each distinct token's int, or ValueError(message) if one is not ASCII -?[0-9]+.
+
+    int() alone would also read Python's literal spellings: 0_1, +1 and
+    non-ASCII digits such as the Arabic-Indic one.
+    """
+    try:
+        if all(tok.isascii() and tok.removeprefix("-").isdigit() for tok in tokens):
+            return {tok: int(tok) for tok in tokens}
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ValueError(message)
+
+
 def code_from_text(text: str) -> LatticeCode:
     lines = text.splitlines()
     if not lines:
@@ -214,20 +228,15 @@ def code_from_text(text: str) -> LatticeCode:
     header = lines[0].split()
     if len(header) != 4:
         raise ValueError("header must be: ambient_dim N scale norm_sq_scaled")
-    try:
-        ambient_dim, n, scale, norm_sq = (int(tok) for tok in header)
-    except ValueError as exc:
-        raise ValueError(f"bad header {lines[0]!r}") from exc
+    value = _integers(set(header), f"bad header {lines[0]!r}")
+    ambient_dim, n, scale, norm_sq = map(value.__getitem__, header)
     if n < 0:
         raise ValueError(f"point count {n} is negative")
     body = [line for line in lines[1:] if line.strip()]
     if len(body) != n:
         raise ValueError(f"expected {n} points, found {len(body)}")
     split = [line.split() for line in body]
-    try:
-        value = {tok: int(tok) for tok in set().union(*split)}
-    except ValueError as exc:
-        raise ValueError("non-integer coordinate") from exc
+    value = _integers(set().union(*split), "non-integer coordinate")
     points = tuple(tuple(map(value.__getitem__, row)) for row in split)
     return LatticeCode(
         ambient_dim=ambient_dim,

@@ -268,6 +268,8 @@ ROWS = _readme_rows() + [
     Row("certify --in -", "two-point", 1, err="no admissible pair to take coherence over"),
     Row("build --in -", "", 1, err="empty code file"),
     Row("build --in -", "8 2 2 8\n1 1 1 1 1 1 1 1\n", 1, err="expected 2 points, found 1"),
+    # int() would read 0_1 and +1 as 1
+    Row("certify --in -", "2 2 1 1\n0_1 0\n0 +1\n", 1, err="non-integer coordinate"),
     Row("scan --in - -d 7 -k 2", "0\n1e5\n", 1, err="exponent notation is not accepted: '1e5'"),
     # rejected before Fraction would expand it to a thirty-million-digit integer
     Row("scan --in - -d 7 -k 2", "0\n1e29999999\n", 1, err="exponent notation is not accepted: '1e29999999'"),
@@ -276,6 +278,8 @@ ROWS = _readme_rows() + [
     Row("dim -d 0 -k 2", status=1, err="sphere dimension must be >= 1"),
     Row("gegenbauer -d 7 -k -1", status=1, err="degree must be >= 0"),
     Row("gegenbauer -d 7 -k 2 --at 1/0", status=1, err="bad rational token '1/0'"),
+    # Fraction() would read the Arabic-Indic digit one as 1
+    Row("gegenbauer -d 7 -k 2 --at \u0661/2", status=1, err="bad rational token '\u0661/2'"),
     Row("build --in /nonexistent/e8.code", status=2,
         err="[Errno 2] No such file or directory: '/nonexistent/e8.code'"),
     Row("roots --out /nonexistent/dir/e8.code", status=2,

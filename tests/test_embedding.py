@@ -303,14 +303,25 @@ def _unswapped(gram):
     return gram[:h] + ((row[0] + 1,) + row[1:],) + gram[h + 1 :]
 
 
+def _fresh_entry(gram):
+    """The Gram with the last entry of top row N - 1 a fresh Fraction of equal value."""
+    h = len(gram) // 2
+    row = gram[h - 1]
+    fresh = Fraction(row[-1].numerator, row[-1].denominator)
+    return gram[: h - 1] + (row[:-1] + (fresh,),) + gram[h:]
+
+
 # The Grams gram_to_text meets: built, read back, and one whose equal values
 # are distinct objects, which no caller makes but the id-keyed table must
-# still write right; then two that break the swapped-halves premise, so their
-# bottom rows take the token table
+# still write right; one whose only new object after row 0 sits in a later
+# top row's right half, so that half's lookup misses once the table is warm;
+# then two that break the swapped-halves premise, so their bottom rows are
+# joined whole
 GRAM_KINDS = {
     "built": lambda gram: gram,
     "read-back": lambda gram: gram_from_text(_gram_text_witness(gram)),
     "distinct": lambda gram: tuple(tuple(Fraction(x.numerator, x.denominator) for x in row) for row in gram),
+    "fresh-entry": _fresh_entry,
     "unswapped": _unswapped,
     "odd": lambda gram: tuple(row[:-1] for row in gram[:-1]),
 }
@@ -321,9 +332,25 @@ GRAM_KINDS = {
 @given(antipodal_codes())
 @example(_dn_roots(4))  # g2(1/2) = 0 at m = 4: the 0 token in both blocks
 @example(WIDE_FIELD)
+# two points, h = 1; the odd kind cuts the Gram to 1 x 1, where h = 0
+@example(LatticeCode(2, 1, 1, ((-1, 0), (1, 0))))
 def test_gram_text_matches_the_witness(kind, roots):
     gram = GRAM_KINDS[kind](build_code(roots).gram)
     assert gram_to_text(gram).split("\n") == _gram_text_witness(gram).split("\n")
+
+
+def test_writer_formats_each_entry_object_once(e8_code, monkeypatch):
+    # the token table is filled only on a miss, and a fill skips the ids it holds
+    gram, calls, format_fraction = e8_code.gram, Counter(), Fraction.__str__
+
+    def counted(x):
+        calls[id(x)] += 1
+        return format_fraction(x)
+
+    monkeypatch.setattr("fractions.Fraction.__str__", counted)
+    assert gram_to_text(gram).startswith("240\n1 ")
+    assert set(calls.values()) == {1}
+    assert set(calls) <= {id(x) for row in gram for x in row}
 
 
 def test_built_gram_shares_its_entries(e8_code):
@@ -427,7 +454,9 @@ def test_field_axioms_on_random_rationals():
 def test_parse_rational_tokens():
     assert parse_rational("-3/6") == Fraction(-1, 2)
     assert parse_rational("0.25") == Fraction(1, 4)
-    for token in ("1/0", "x"):
+    # Fraction() alone would read the Arabic-Indic digit and `_` separators:
+    # as 1/7, 10/7 and 1/7
+    for token in ("1/0", "x", "\u0661/7", "1_0/7", "1/0_7"):
         with pytest.raises(ValueError, match="bad rational token"):
             parse_rational(token)
     for token in ("1e400", "2.5E-3", "1e29999999"):

@@ -268,6 +268,15 @@ def test_bad_files_rejected():
         code_from_text("2 1 1 1\n1 x\n")  # non-integer
     with pytest.raises(ValueError, match="non-integer coordinate"):
         code_from_text("2 2 1 1\n1 0\n0 1.0\n")  # first seen in a later row
+    # int() reads each of these as 1; a code file holds only ASCII -?[0-9]+
+    for token in ("0_1", "+1", "\u0661"):
+        with pytest.raises(ValueError, match="non-integer coordinate"):
+            code_from_text(f"2 2 1 1\n1 0\n0 {token}\n")
+        with pytest.raises(ValueError, match="bad header"):
+            code_from_text(f"2 1 1 {token}\n1 0\n")
+    for token in ("-", "--1", "1-"):
+        with pytest.raises(ValueError, match="non-integer coordinate"):
+            code_from_text(f"2 1 1 1\n1 {token}\n")
     with pytest.raises(ValueError, match=r"point \(1, 1\) is not of the declared norm"):
         code_from_text("2 1 1 1\n1 1\n")  # wrong norm
     with pytest.raises(ValueError, match="point count -1 is negative"):

@@ -55,6 +55,13 @@ def test_cli_import_loads_no_dataclasses_inspect_or_analyzer():
     assert (cli - bare) & {"dataclasses", "inspect", "harmonic_codes.analyzer"} == set()
 
 
+def test_cli_import_loads_no_json():
+    # only certify and scan write JSON, and each imports json when it runs
+    bare, _ = _fresh_import("sys")
+    cli, _ = _fresh_import("harmonic_codes.cli")
+    assert {m for m in cli - bare if m.split(".")[0] in ("json", "_json")} == set()
+
+
 def test_scan_runs_in_a_fresh_process():
     # the one out-of-process run of `scan`, which imports the analyzer on demand
     run = subprocess.run([sys.executable, "-m", "harmonic_codes", *PINNED_SCAN], input="0\n1/2\n-1/2\n",
