@@ -4,7 +4,9 @@ Answers, for a supplied set of inner-product values and parameters (d, k),
 whether the degree-k image is equiangular (one absolute value), and what
 code parameters a construction over that spectrum would have.  The
 spectrum is always user input; nothing about any particular lattice is
-assumed here.
+assumed here.  A scan puts the values over the lcm of their denominators
+and runs the Gegenbauer recurrence once for all of them, so the moduli
+compare as integers and the only Fractions built are the reported ones.
 """
 
 from __future__ import annotations
@@ -12,17 +14,19 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, TextIO
 
 from .codes import QuadraticBound, format_bound, quadratic_bound
 from .embedding import parse_rational
 # gegenbauer stays importable here: bench/run.py shims it by name.
-from .harmonics import gegenbauer, gegenbauer_values, harmonic_dimension
+from .harmonics import gegenbauer, gegenbauer_rows, harmonic_dimension
 
 
 class ScanResult(NamedTuple):
-    """Image of one spectrum under g_k^d with its constancy verdict."""
+    """Image of one spectrum under g_k^d with its constancy verdict.
+
+    image_values lists the values in ascending order; scan_to_json keeps it.
+    """
 
     d: int
     k: int
@@ -45,8 +49,9 @@ class CandidateSummary(NamedTuple):
     bound: QuadraticBound
 
 
-def _checked_values(values: Iterable[int | Fraction]) -> list[Fraction]:
-    """The distinct values, deduplicated and sorted as (p, q) ratios; the first bad one raises."""
+def _checked_values(values: Iterable[int | Fraction]) -> tuple[list[Fraction], list[int], int]:
+    """The distinct values in ascending order, their numerators over the lcm of
+    their denominators, and that lcm; the first bad value raises."""
     ratios = {}
     for v in values:
         p, q = v.as_integer_ratio()
@@ -58,29 +63,33 @@ def _checked_values(values: Iterable[int | Fraction]) -> list[Fraction]:
     if not ratios:
         raise ValueError("empty value set")
     lcm = math.lcm(*(q for _, q in ratios))
-    return [ratios[r] for r in sorted(ratios, key=lambda r: r[0] * (lcm // r[1]))]
+    scaled = {p * (lcm // q): v for (p, q), v in ratios.items()}
+    nums = sorted(scaled)
+    return [scaled[a] for a in nums], nums, lcm
 
 
 def constant_modulus_scan(
     values: Iterable[int | Fraction], d: int, k_range: Iterable[int]
 ) -> list[ScanResult]:
-    """Evaluate g_k^d on every value for each k; moduli compare as (|numerator|, denominator)."""
-    keys = _checked_values(values)
+    """Evaluate g_k^d on every value for each k, from one run of the recurrence.
+
+    Each degree's image is one row of numerators over one denominator, so the
+    modulus is constant exactly when the row has one absolute value.
+    """
+    keys, nums, den = _checked_values(values)
     ks = list(k_range)
     if not ks:
         return []
-    columns = [gegenbauer_values(d, v, ks) for v in keys]
     results = []
-    for i, k in enumerate(ks):
-        image = {v: column[i] for v, column in zip(keys, columns)}
-        moduli = {(abs(g.numerator), g.denominator) for g in image.values()}
+    for k, (row, den_k) in zip(ks, gegenbauer_rows(d, nums, den, ks)):
+        moduli = set(map(abs, row))
         results.append(
             ScanResult(
                 d=d,
                 k=k,
                 harmonic_dim=harmonic_dimension(d, k),
-                image_values=image,
-                modulus=Fraction(*moduli.pop()) if len(moduli) == 1 else None,
+                image_values={v: Fraction(a, den_k) for v, a in zip(keys, row)},
+                modulus=Fraction(moduli.pop(), den_k) if len(moduli) == 1 else None,
             )
         )
     return results
@@ -131,7 +140,7 @@ def scan_to_json(result: ScanResult) -> str:
         "k": result.k,
         "harmonic_dim": result.harmonic_dim,
         "image": {
-            str(v): str(g) for v, g in sorted(result.image_values.items(), key=itemgetter(0))
+            str(v): str(g) for v, g in result.image_values.items()
         },
         "constant_modulus": result.constant_modulus,
         "modulus": None if result.modulus is None else str(result.modulus),

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .embedding import EmbeddedCode, Rows
 # gegenbauer stays importable here: bench/run.py shims it by name.
-from .harmonics import gegenbauer, gegenbauer_values
+from .harmonics import gegenbauer, gegenbauer_rows
 from .lattice import Spectrum
 
 
@@ -183,12 +184,16 @@ def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:
         raise ValueError("t_max must be at least 1")
     if d_sphere < 1:
         raise ValueError("sphere dimension must be >= 1")
-    # each diagonal entry is 1 and P_k(1) = 1: the diagonal adds n to every residual
-    residuals = [Fraction(g.n)] * t_max
-    for v, c in g.histogram.items():
-        for i, value in enumerate(gegenbauer_values(d_sphere, v, range(1, t_max + 1))):
-            residuals[i] += c * value
-    return DesignCheck(tuple(residuals))
+    # the values over the lcm of their denominators: one recurrence for all, and
+    # each residual is one integer sum over the shared denominator den_k, where
+    # each diagonal entry is 1 and P_k(1) = 1, so the diagonal adds n * den_k
+    ratios = [v.as_integer_ratio() for v in g.histogram]
+    den = math.lcm(*(q for _, q in ratios))
+    counts = g.histogram.values()
+    rows = gegenbauer_rows(d_sphere, [p * (den // q) for p, q in ratios], den, range(1, t_max + 1))
+    return DesignCheck(tuple(
+        Fraction(g.n * den_k + sum(map(mul, counts, row)), den_k) for row, den_k in rows
+    ))
 
 
 def certify(code: EmbeddedCode, t_max: int = 3) -> CodeReport:

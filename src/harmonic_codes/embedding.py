@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .harmonics import gegenbauer_values, harmonic_dimension
-from .lattice import LatticeCode, dot_fields, select_antipodal_representatives, spectrum
+from .lattice import LatticeCode, _integers, dot_fields, select_antipodal_representatives, spectrum
 
 
 def parse_rational(token: str) -> Fraction:
@@ -256,10 +256,8 @@ def gram_from_text(text: str) -> Rows:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty gram file")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise ValueError(f"bad gram header {lines[0]!r}") from exc
+    header = lines[0].strip()
+    n = _integers({header}, f"bad gram header {lines[0]!r}")[header]
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} gram rows, found {len(lines) - 1}")
     rows, parsed = [], {}  # one Fraction per distinct token

@@ -336,6 +336,21 @@ def test_scan_serialization_no_modulus():
     assert json.loads(scan_to_json(result))["modulus"] is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(values=_values(_admissible, min_size=1), d=st.integers(1, 30), k=st.integers(0, 12))
+@example(
+    values=[HALF, Fraction(-1, 3), 0, Fraction(2, 4), Fraction(-3, 4), Fraction(1, 12), Fraction(-1, 3)],
+    d=7,
+    k=2,
+)
+def test_scan_json_image_keys_ascend(values, d, k):
+    # unsorted input with duplicates: the image is written in ascending numeric order
+    values = values[::-1] + values[:2]
+    (result,) = constant_modulus_scan(values, d, [k])
+    keys = list(json.loads(scan_to_json(result))["image"])
+    assert [Fraction(key) for key in keys] == sorted(set(map(Fraction, values)))
+
+
 def test_candidate_serialization():
     summary = candidate_parameters([0, HALF, -HALF], 7, 2, 240)
     line = candidate_to_json(summary)

@@ -19,7 +19,7 @@ from harmonic_codes.codes import (
     report_to_json,
 )
 from harmonic_codes.embedding import build_code, gram_from_text, gram_to_text
-from harmonic_codes.harmonics import _family_coefficients, gegenbauer_values
+from harmonic_codes.harmonics import _family_coefficients, gegenbauer_rows
 from harmonic_codes.lattice import (
     LatticeCode,
     code_from_text,
@@ -610,29 +610,29 @@ def test_scan_bytes_are_pinned(capsys, monkeypatch):
 
 
 def test_scan_and_design_run_one_recurrence_each(roots_file, capsys, monkeypatch):
-    # the k = 1..12 sweep with its candidates, and the t = 12 design fold, run
-    # the point recurrence once per value, each to the top degree, and build
-    # no coefficients: the spy sits under gegenbauer() too
+    # the k = 1..12 sweep with its candidates, and the t = 12 design fold, each
+    # run the many-point recurrence once, over all their values to the top
+    # degree, and build no coefficients: the spy sits under gegenbauer() too
     runs, families = [], []
 
-    def counted(d, t, degrees):
-        degrees = list(degrees)
-        runs.append((d, t, max(degrees)))
-        return gegenbauer_values(d, t, degrees)
+    def counted(d, nums, den, degrees):
+        nums, degrees = list(nums), list(degrees)
+        runs.append((d, sorted(Fraction(a, den) for a in nums), max(degrees)))
+        return gegenbauer_rows(d, nums, den, degrees)
 
     def family(d, k_max):
         families.append((d, k_max))
         return _family_coefficients(d, k_max)
 
-    monkeypatch.setattr("harmonic_codes.analyzer.gegenbauer_values", counted)
-    monkeypatch.setattr("harmonic_codes.codes.gegenbauer_values", counted)
+    monkeypatch.setattr("harmonic_codes.analyzer.gegenbauer_rows", counted)
+    monkeypatch.setattr("harmonic_codes.codes.gegenbauer_rows", counted)
     monkeypatch.setattr("harmonic_codes.harmonics._family_coefficients", family)
     monkeypatch.setattr("sys.stdin", io.StringIO("0\n1/2\n-1/2\n"))
     assert main(PINNED_SCAN) == 0
-    assert sorted(runs) == [(7, Fraction(-1, 2), 12), (7, 0, 12), (7, Fraction(1, 2), 12)]
+    assert runs == [(7, [Fraction(-1, 2), 0, Fraction(1, 2)], 12)]
     runs.clear()
     assert main(["design", "--in", roots_file, "--t-max", "12"]) == 0
-    assert sorted(runs) == [(34, -1, 12), (34, Fraction(-1, 7), 12), (34, Fraction(1, 7), 12)]
+    assert runs == [(34, [-1, Fraction(-1, 7), Fraction(1, 7)], 12)]
     assert families == []
 
 

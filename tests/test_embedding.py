@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -475,6 +476,10 @@ def test_gram_text_rejects_malformed():
         gram_from_text("1\nx\n")
     with pytest.raises(ValueError, match="bad gram header 'x'"):
         gram_from_text("x")
+    # the header is ASCII -?[0-9]+, as in code files: no literal spellings
+    for header in ("+1", "0_1", "\u0661"):
+        with pytest.raises(ValueError, match=re.escape(f"bad gram header '{header}'")):
+            gram_from_text(f"{header}\n1\n")
     with pytest.raises(ValueError, match="bad rational token in gram row"):
         gram_from_text("1\n1e400\n")
     # a token first seen in a later row is still parsed, and still rejected

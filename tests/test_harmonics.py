@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonic_codes import harmonics
 from harmonic_codes.harmonics import (
     GegenbauerPoly,
     gegenbauer,
+    gegenbauer_rows,
     gegenbauer_values,
     harmonic_dimension,
 )
@@ -278,3 +279,43 @@ def test_point_values_errors_and_paper_values():
         gegenbauer_values(0, 0, [])
     with pytest.raises(ValueError, match="degree must be >= 0"):
         gegenbauer_values(1, 0, [3, -1])
+
+
+@st.composite
+def over_one_denominator(draw):
+    """(nums, den): up to 6 points nums[i]/den in [-1, 1], unreduced and maybe repeated."""
+    den = draw(st.integers(1, 60))
+    return draw(st.lists(st.integers(-den, den), max_size=6)), den
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(0, 30),
+    points=over_one_denominator(),
+    degrees=st.lists(st.integers(-1, 14), max_size=6),
+)
+@example(d=7, points=([0, 1, -1], 1), degrees=[0, 1, 2, 3, 12])  # t = 0 and t = +-1 over den = 1
+@example(d=1, points=([0, 2, -2, 1, 1], 2), degrees=[12, 2, 0])  # the circle, a repeated point
+@example(d=23, points=([156, 143, 132], 1716), degrees=[1, 2, 12])  # 1/11, 1/12, 1/13 over their lcm
+@example(d=3, points=([], 5), degrees=[0, 4])  # no points: one empty row per degree
+@example(d=0, points=([], 1), degrees=[-1])  # no points still raises: the sphere first,
+@example(d=3, points=([], 1), degrees=[2, -1])  # then the degrees
+def test_many_point_rows_match_each_point(d, points, degrees):
+    # one run over a shared denominator against one run per point and the checked polynomial
+    nums, den = points
+    if d < 1 or min(degrees, default=0) < 0:
+        error = "sphere dimension must be >= 1" if d < 1 else "degree must be >= 0"
+        with pytest.raises(ValueError, match=error):
+            gegenbauer_rows(d, nums, den, degrees)
+        with pytest.raises(ValueError, match=error):
+            gegenbauer_values(d, 0, degrees)
+        return
+    ts = [Fraction(a, den) for a in nums]
+    rows = gegenbauer_rows(d, iter(nums), den, iter(degrees))
+    assert len(rows) == len(degrees)
+    for k, (row, den_k) in zip(degrees, rows):
+        assert len(row) == len(nums) and all(type(a) is int for a in row + [den_k])
+        poly = gegenbauer(d, k)
+        assert [Fraction(a, den_k) for a in row] == [
+            gegenbauer_values(d, t, [k])[0] for t in ts
+        ] == [poly.evaluate(t) for t in ts], (d, k, ts)
