@@ -6,7 +6,7 @@ code parameters a construction over that spectrum would have.  The
 spectrum is always user input; nothing about any particular lattice is
 assumed here.  A scan puts the values over the lcm of their denominators
 and runs the Gegenbauer recurrence once for all of them, so the moduli
-compare as integers and the only Fractions built are the reported ones.
+compare as integers; only the image and largest modulus become Fractions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .harmonics import gegenbauer, gegenbauer_rows, harmonic_dimension
 
 
 class ScanResult(NamedTuple):
-    """Image of one spectrum under g_k^d with its constancy verdict.
+    """Image of one spectrum under g_k^d, its largest modulus and constancy verdict.
 
     image_values lists the values in ascending order; scan_to_json keeps it.
     """
@@ -32,21 +32,26 @@ class ScanResult(NamedTuple):
     k: int
     harmonic_dim: int
     image_values: Mapping[Fraction, Fraction]
-    modulus: Fraction | None
+    max_modulus: Fraction
+    constant_modulus: bool
 
     @property
-    def constant_modulus(self) -> bool:
-        """Every image value has the same absolute value, the modulus."""
-        return self.modulus is not None
+    def modulus(self) -> Fraction | None:
+        """The one absolute value of the image, or None if it has several."""
+        return self.max_modulus if self.constant_modulus else None
 
 
 class CandidateSummary(NamedTuple):
-    """Hypothetical embedded-code parameters for a spectrum: its scan, size, coherence, bound."""
+    """Hypothetical embedded-code parameters for a spectrum: its scan, size, bound."""
 
     scan: ScanResult
     n_points: int
-    coherence: Fraction
     bound: QuadraticBound
+
+    @property
+    def coherence(self) -> Fraction:
+        """The largest |g| over the scanned image."""
+        return self.scan.max_modulus
 
 
 def _checked_values(values: Iterable[int | Fraction]) -> tuple[list[Fraction], list[int], int]:
@@ -89,7 +94,8 @@ def constant_modulus_scan(
                 k=k,
                 harmonic_dim=harmonic_dimension(d, k),
                 image_values={v: Fraction(a, den_k) for v, a in zip(keys, row)},
-                modulus=Fraction(moduli.pop(), den_k) if len(moduli) == 1 else None,
+                max_modulus=Fraction(max(moduli), den_k),
+                constant_modulus=len(moduli) == 1,
             )
         )
     return results
@@ -97,17 +103,9 @@ def constant_modulus_scan(
 
 def candidate_from_scan(scan: ScanResult, n_points: int) -> CandidateSummary:
     """Parameters the embedded code over a scanned spectrum would have, plus the bound."""
-    coherence = scan.modulus
-    if coherence is None:  # the largest |g|, by integer cross products
-        top, bottom = 0, 1
-        for p, q in map(Fraction.as_integer_ratio, scan.image_values.values()):
-            if abs(p) * bottom > top * q:
-                top, bottom = abs(p), q
-        coherence = Fraction(top, bottom)
     return CandidateSummary(
         scan=scan,
         n_points=n_points,
-        coherence=coherence,
         bound=quadratic_bound(n_points, scan.harmonic_dim),
     )
 

@@ -91,7 +91,10 @@ class DesignCheck(NamedTuple):
 
 
 class CodeReport(NamedTuple):
-    """Certified parameters of an embedded antipodal code, with its folds' results."""
+    """Certified parameters of an embedded antipodal code, with its folds' results.
+
+    spectrum lists the values in ascending order; report_to_json keeps it.
+    """
 
     ambient_dim: int
     n_points: int
@@ -232,9 +235,7 @@ def report_to_json(report: CodeReport) -> str:
         "ambient_dim": report.ambient_dim,
         "n_points": report.n_points,
         "coherence": str(report.coherence_a),
-        "spectrum": {
-            str(v): report.spectrum[v] for v in sorted(report.spectrum)
-        },
+        "spectrum": {str(v): count for v, count in report.spectrum.items()},
         "bound": format_bound(report.bound),
         "frame_sum": str(report.frame.frame_sum),
         "frame_bound": str(report.frame.frame_bound),

@@ -144,7 +144,8 @@ def _scan_witness(values, d, k_range, n_points):
                     k=k,
                     harmonic_dim=harmonic_dimension(d, k),
                     image_values=image,
-                    modulus=moduli.pop() if len(moduli) == 1 else None,
+                    max_modulus=max(moduli),
+                    constant_modulus=len(moduli) == 1,
                 )
             )
         return results
@@ -153,7 +154,6 @@ def _scan_witness(values, d, k_range, n_points):
         return CandidateSummary(
             scan=scan,
             n_points=n_points,
-            coherence=max(abs(g) for g in scan.image_values.values()),
             bound=quadratic_bound(n_points, scan.harmonic_dim),
         )
 
@@ -196,6 +196,7 @@ def test_scan_and_candidates_match_witness(values, d, ks, half_n):
         assert scan_to_json(r) == scan_to_json(w)
         summary = candidate_from_scan(r, 2 * half_n)
         assert summary == candidate
+        assert summary.coherence == max(abs(g) for g in w.image_values.values())
         assert type(summary.coherence) is Fraction
         assert candidate_to_json(summary) == candidate_to_json(candidate)
 

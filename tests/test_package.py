@@ -107,9 +107,10 @@ def _named(path):
 
 
 def test_every_public_definition_has_a_caller_outside_the_unit_tests():
-    # a public function or class that only the unit tests name belongs in the
-    # tests, as the witness it is; the package, the bench and the acceptance
-    # suite count as callers, a definition's own body does not
+    # a function or class that only the unit tests name belongs in the tests,
+    # as the witness it is, and a private one that nothing names is orphaned;
+    # the package, the bench and the acceptance suite count as callers, a
+    # definition's own body does not
     callers = {}
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
         for owner, name in _named(path):
@@ -118,6 +119,6 @@ def test_every_public_definition_has_a_caller_outside_the_unit_tests():
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name, _ in _top_level(path)
-        if name and not name.startswith("_") and not callers.get(name, set()) - {(path, name)}
+        if name and not callers.get(name, set()) - {(path, name)}
     ]
     assert unused == []
