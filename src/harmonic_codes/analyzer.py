@@ -5,8 +5,12 @@ whether the degree-k image is equiangular (one absolute value), and what
 code parameters a construction over that spectrum would have.  The
 spectrum is always user input; nothing about any particular lattice is
 assumed here.  A scan puts the values over the lcm of their denominators
-and runs the Gegenbauer recurrence once for all of them, so the moduli
-compare as integers; only the image and largest modulus become Fractions.
+and runs the Gegenbauer recurrence once for all of them.  Each ScanResult
+keeps the recurrence's integer row: the scan's values, the degree's
+numerators and their one denominator.  The moduli compare as integers, the
+JSON image tokens are written from the integers, and a Fraction is built
+only for a modulus or coherence that is read; none is hashed unless a
+caller reads image_values.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .codes import QuadraticBound, format_bound, quadratic_bound
 from .embedding import parse_rational
@@ -23,17 +27,34 @@ from .harmonics import gegenbauer, gegenbauer_rows, harmonic_dimension
 
 
 class ScanResult(NamedTuple):
-    """Image of one spectrum under g_k^d, its largest modulus and constancy verdict.
+    """Image of one spectrum under g_k^d, as one row of the recurrence.
 
-    image_values lists the values in ascending order; scan_to_json keeps it.
+    values lists the scan's values in ascending order (one tuple shared by
+    every degree of a scan); the image of values[i] is nums[i] / den, den > 0.
+    Everything else is read off that row.
     """
 
     d: int
     k: int
     harmonic_dim: int
-    image_values: Mapping[Fraction, Fraction]
-    max_modulus: Fraction
-    constant_modulus: bool
+    values: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def image_values(self) -> dict[Fraction, Fraction]:
+        """Each value's image, in ascending order of the values."""
+        return {v: Fraction(a, self.den) for v, a in zip(self.values, self.nums)}
+
+    @property
+    def max_modulus(self) -> Fraction:
+        """The largest absolute value of the image."""
+        return Fraction(max(map(abs, self.nums)), self.den)
+
+    @property
+    def constant_modulus(self) -> bool:
+        """Whether the image has one absolute value."""
+        return len(set(map(abs, self.nums))) == 1
 
     @property
     def modulus(self) -> Fraction | None:
@@ -54,9 +75,9 @@ class CandidateSummary(NamedTuple):
         return self.scan.max_modulus
 
 
-def _checked_values(values: Iterable[int | Fraction]) -> tuple[list[Fraction], list[int], int]:
-    """The distinct values in ascending order, their numerators over the lcm of
-    their denominators, and that lcm; the first bad value raises."""
+def _checked_values(values: Iterable[int | Fraction]) -> tuple[tuple[Fraction, ...], list[int], int]:
+    """The distinct values as a tuple in ascending order, their numerators over
+    the lcm of their denominators, and that lcm; the first bad value raises."""
     ratios = {}
     for v in values:
         p, q = v.as_integer_ratio()
@@ -70,7 +91,7 @@ def _checked_values(values: Iterable[int | Fraction]) -> tuple[list[Fraction], l
     lcm = math.lcm(*(q for _, q in ratios))
     scaled = {p * (lcm // q): v for (p, q), v in ratios.items()}
     nums = sorted(scaled)
-    return [scaled[a] for a in nums], nums, lcm
+    return tuple(scaled[a] for a in nums), nums, lcm
 
 
 def constant_modulus_scan(
@@ -78,27 +99,17 @@ def constant_modulus_scan(
 ) -> list[ScanResult]:
     """Evaluate g_k^d on every value for each k, from one run of the recurrence.
 
-    Each degree's image is one row of numerators over one denominator, so the
-    modulus is constant exactly when the row has one absolute value.
+    Each degree's image is one row of numerators over one denominator, which
+    its ScanResult keeps as it is.
     """
     keys, nums, den = _checked_values(values)
     ks = list(k_range)
     if not ks:
         return []
-    results = []
-    for k, (row, den_k) in zip(ks, gegenbauer_rows(d, nums, den, ks)):
-        moduli = set(map(abs, row))
-        results.append(
-            ScanResult(
-                d=d,
-                k=k,
-                harmonic_dim=harmonic_dimension(d, k),
-                image_values={v: Fraction(a, den_k) for v, a in zip(keys, row)},
-                max_modulus=Fraction(max(moduli), den_k),
-                constant_modulus=len(moduli) == 1,
-            )
-        )
-    return results
+    return [
+        ScanResult(d, k, harmonic_dimension(d, k), keys, tuple(row), den_k)
+        for k, (row, den_k) in zip(ks, gegenbauer_rows(d, nums, den, ks))
+    ]
 
 
 def candidate_from_scan(scan: ScanResult, n_points: int) -> CandidateSummary:
@@ -132,16 +143,21 @@ def read_spectrum_file(f: TextIO) -> list[Fraction]:
     return out
 
 
+def _token(a: int, den: int) -> str:
+    """str(Fraction(a, den)) for den > 0, with no Fraction built."""
+    g = math.gcd(a, den)
+    return str(a // g) if g == den else f"{a // g}/{den // g}"
+
+
 def scan_to_json(result: ScanResult) -> str:
+    den, modulus = result.den, result.modulus
     return json.dumps({
         "d": result.d,
         "k": result.k,
         "harmonic_dim": result.harmonic_dim,
-        "image": {
-            str(v): str(g) for v, g in result.image_values.items()
-        },
-        "constant_modulus": result.constant_modulus,
-        "modulus": None if result.modulus is None else str(result.modulus),
+        "image": {str(v): _token(a, den) for v, a in zip(result.values, result.nums)},
+        "constant_modulus": modulus is not None,
+        "modulus": None if modulus is None else str(modulus),
     }) + "\n"
 
 

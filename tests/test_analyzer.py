@@ -2,14 +2,13 @@ import io
 import json
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonic_codes.analyzer import (
-    CandidateSummary,
-    ScanResult,
     candidate_from_scan,
     candidate_parameters,
     candidate_to_json,
@@ -17,7 +16,7 @@ from harmonic_codes.analyzer import (
     read_spectrum_file,
     scan_to_json,
 )
-from harmonic_codes.codes import QuadraticBound, quadratic_bound
+from harmonic_codes.codes import QuadraticBound, format_bound, quadratic_bound
 from harmonic_codes.harmonics import gegenbauer, gegenbauer_values, harmonic_dimension
 
 HALF = Fraction(1, 2)
@@ -111,9 +110,22 @@ def test_range_scan_and_candidates_match_per_degree_path(values, d, a, width, ha
         assert candidate_from_scan(r, n_points) == candidate_parameters(values, d, r.k, n_points)
 
 
+class _Witness(NamedTuple):
+    k: int
+    harmonic_dim: int
+    image_values: dict
+    max_modulus: Fraction
+    constant_modulus: bool
+    bound: QuadraticBound
+    scan_json: str
+    candidate_json: str
+
+
 def _scan_witness(values, d, k_range, n_points):
     """The reference scan and candidates, on Fractions throughout: Fraction(v),
-    sets of Fractions, abs() and comparisons.  The integer-ratio scan must equal it."""
+    per-point gegenbauer_values, sets of Fractions, abs() and comparisons, and
+    both JSON lines rendered here by json.dumps over str(Fraction).  The
+    integer-row scan must equal it."""
 
     def _checked_values(values):
         out = []
@@ -128,37 +140,53 @@ def _scan_witness(values, d, k_range, n_points):
             raise ValueError("empty value set")
         return sorted(set(out))
 
-    def constant_modulus_scan(values, d, k_range):
-        vals = _checked_values(values)
-        ks = list(k_range)
-        if not ks:
-            return []
-        columns = {v: gegenbauer_values(d, v, ks) for v in vals}
-        results = []
-        for i, k in enumerate(ks):
-            image = {v: column[i] for v, column in columns.items()}
-            moduli = {abs(g) for g in image.values()}
-            results.append(
-                ScanResult(
-                    d=d,
-                    k=k,
-                    harmonic_dim=harmonic_dimension(d, k),
-                    image_values=image,
-                    max_modulus=max(moduli),
-                    constant_modulus=len(moduli) == 1,
-                )
-            )
-        return results
-
-    def candidate_from_scan(scan, n_points):
-        return CandidateSummary(
-            scan=scan,
-            n_points=n_points,
-            bound=quadratic_bound(n_points, scan.harmonic_dim),
+    vals = _checked_values(values)
+    ks = list(k_range)
+    if not ks:
+        return []
+    columns = {v: gegenbauer_values(d, v, ks) for v in vals}
+    witnesses = []
+    for i, k in enumerate(ks):
+        image = {v: column[i] for v, column in columns.items()}
+        moduli = {abs(g) for g in image.values()}
+        top, constant = max(moduli), len(moduli) == 1
+        dim = harmonic_dimension(d, k)
+        bound = quadratic_bound(n_points, dim)
+        scan_json = json.dumps({
+            "d": d,
+            "k": k,
+            "harmonic_dim": dim,
+            "image": {str(v): str(g) for v, g in image.items()},
+            "constant_modulus": constant,
+            "modulus": str(top) if constant else None,
+        }) + "\n"
+        candidate_json = json.dumps({
+            "ambient_dim": dim,
+            "n_points": n_points,
+            "coherence": str(top),
+            "bound": format_bound(bound),
+            "constant_modulus": constant,
+        }) + "\n"
+        witnesses.append(
+            _Witness(k, dim, image, top, constant, bound, scan_json, candidate_json)
         )
+    return witnesses
 
-    results = constant_modulus_scan(values, d, k_range)
-    return [(r, candidate_from_scan(r, n_points)) for r in results]
+
+def _assert_scan_matches(results, expected):
+    # values, key order, moduli and bytes against the witness, record by record
+    assert [r.k for r in results] == [w.k for w in expected]
+    for r, w in zip(results, expected):
+        assert r.harmonic_dim == w.harmonic_dim
+        assert r.image_values == w.image_values
+        assert list(r.image_values) == list(w.image_values)
+        assert all(type(v) is Fraction for v in r.image_values)
+        assert all(type(g) is Fraction for g in r.image_values.values())
+        assert r.max_modulus == w.max_modulus
+        assert type(r.max_modulus) is Fraction
+        assert r.constant_modulus is w.constant_modulus
+        assert type(r.modulus) is (Fraction if w.constant_modulus else type(None))
+        assert scan_to_json(r) == w.scan_json
 
 
 def _as_drawn(v, scale, as_int):
@@ -182,23 +210,28 @@ def _values(value, min_size=0):
 )
 @example(values=[HALF, 0, -HALF], d=1, ks=[12, 2, 1, 2], half_n=2)
 @example(values=[Fraction(-1, 7), Fraction(1, 7), Fraction(2, 14)], d=34, ks=[12, 0], half_n=120)
+# the image tokens' branches: an integer image (T_2(0) = -1), a zero image
+# (P_1(0) = 0), a negative numerator sharing a factor with the denominator
+# (-4/28 at t = 0 over the lcm 2), and a spectrum over the lcm 12
+@example(values=[0], d=1, ks=[2], half_n=2)
+@example(values=[0], d=7, ks=[1], half_n=2)
+@example(values=[-HALF, 0, HALF], d=7, ks=[2], half_n=120)
+@example(values=[Fraction(1, 3), Fraction(-1, 4)], d=4, ks=[3, 1], half_n=5)
 def test_scan_and_candidates_match_witness(values, d, ks, half_n):
     # repeated, unsorted, int next to Fraction: the same results, key order and bytes
     values = values + [0, Fraction(0)][: len(values) % 3]
     values += [HALF, Fraction(2, 4)][: len(values) % 2]
     expected = _scan_witness(values, d, ks, 2 * half_n)
     results = constant_modulus_scan(values, d, ks)
-    assert results == [r for r, _ in expected]
-    for r, (w, candidate) in zip(results, expected):
-        assert list(r.image_values) == list(w.image_values)
-        assert all(type(v) is Fraction for v in r.image_values)
-        assert type(r.modulus) is (Fraction if w.constant_modulus else type(None))
-        assert scan_to_json(r) == scan_to_json(w)
+    _assert_scan_matches(results, expected)
+    for r, w in zip(results, expected):
         summary = candidate_from_scan(r, 2 * half_n)
-        assert summary == candidate
-        assert summary.coherence == max(abs(g) for g in w.image_values.values())
+        assert summary.scan == r
+        assert summary.n_points == 2 * half_n
+        assert summary.bound == w.bound
+        assert summary.coherence == w.max_modulus
         assert type(summary.coherence) is Fraction
-        assert candidate_to_json(summary) == candidate_to_json(candidate)
+        assert candidate_to_json(summary) == w.candidate_json
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,7 +249,7 @@ def test_scan_errors_match_witness(values, d, ks):
             constant_modulus_scan(values, d, ks)
         assert str(raised.value) == str(exc)
     else:
-        assert constant_modulus_scan(values, d, ks) == [r for r, _ in expected]
+        _assert_scan_matches(constant_modulus_scan(values, d, ks), expected)
 
 
 def test_quadratic_bound_matches_quotient_form():

@@ -9,6 +9,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
+from harmonic_codes import analyzer
 from harmonic_codes.cli import build_parser, main
 from harmonic_codes.codes import (
     GramView,
@@ -634,6 +635,35 @@ def test_scan_and_design_run_one_recurrence_each(roots_file, capsys, monkeypatch
     assert main(["design", "--in", roots_file, "--t-max", "12"]) == 0
     assert runs == [(34, [-1, Fraction(-1, 7), Fraction(1, 7)], 12)]
     assert families == []
+
+
+def test_scan_builds_two_fractions_per_degree_and_hashes_none(capsys, monkeypatch):
+    # the k = 1..12 sweep keeps each degree's integer row: per degree it builds
+    # at most the modulus scan_to_json reports and the coherence
+    # candidate_to_json reports, and hashes no Fraction; image_values still
+    # gives Fractions in ascending key order on request
+    built, hashed = [], []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+        def __hash__(self):
+            hashed.append(self)
+            return super().__hash__()
+
+    monkeypatch.setattr("harmonic_codes.analyzer.Fraction", Counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n1/2\n-1/2\n"))
+    assert main(PINNED_SCAN) == 0
+    assert _sha256(capsys.readouterr().out) == PINNED_SCAN_SHA256
+    # plus the three spectrum values, rebuilt once per scan as they are not Counted
+    assert len(built) <= 3 + 2 * 12
+    assert hashed == []
+    for result in analyzer.constant_modulus_scan([Fraction(1, 2), 0, Fraction(-1, 2)], 7, range(1, 13)):
+        image = result.image_values
+        assert list(image) == [Fraction(-1, 2), 0, Fraction(1, 2)]
+        assert all(isinstance(g, Fraction) for g in image.values())
 
 
 def test_scan_leech_spectrum(tmp_path, capsys):
