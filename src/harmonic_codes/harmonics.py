@@ -6,9 +6,10 @@ is exactly 1 (the Chebyshev T_k on the circle, d = 1).  They come from one
 three-term recurrence that keeps this normalization at every step, for
 every d >= 1.  Under this normalization the degree-k polynomial gives the
 inner product of degree-k reproducing-kernel elements attached to two
-sphere points with inner product t.  gegenbauer_rows runs the same
-recurrence in integers at many rational points over one common denominator,
-one list of numerators per degree, and builds no coefficients;
+sphere points with inner product t.  The recurrence runs on integers over
+one denominator per degree: gegenbauer builds a Fraction only for the member
+it returns, and gegenbauer_rows runs it at many rational points over one
+common denominator, one list of numerators per degree, with no coefficients;
 gegenbauer_values is its one-point case.
 """
 
@@ -62,32 +63,31 @@ class GegenbauerPoly:
         return acc
 
 
-def _family_coefficients(d: int, k_max: int) -> list[list[Fraction]]:
-    """Coefficient lists of P_0, ..., P_k_max for S^d, from one run of the recurrence.
+def _family_coefficients(d: int, k_max: int) -> tuple[list[list[int]], list[int]]:
+    """Coefficients of P_0, ..., P_k_max for S^d: P_j's are rows[j] / dens[j], from one run.
 
-    Runs the normalized family's own three-term recurrence
-    (j+d-2) P_j = (2j+d-3) t P_{j-1} - (j-1) P_{j-2} from P_0 = 1 and
-    P_1 = t.  Every P_j is 1 at t = 1 by construction, the divisor j+d-2
-    is at least 1 for j >= 2, and at d = 1 the recurrence is Chebyshev's
-    T_j = 2t T_{j-1} - T_{j-2}.
+    The normalized family's recurrence (j+d-2) P_j = (2j+d-3) t P_{j-1} - (j-1) P_{j-2},
+    from P_0 = 1 and P_1 = t, runs on integers as in gegenbauer_rows:
+    a_j = (2j+d-3) t a_{j-1} - (j-1)(j+d-3) a_{j-2} over D_j = D_{j-1} (j+d-2),
+    the factor j+d-3 read as 1 at j = 2.  Every P_j is 1 at t = 1 by
+    construction, and at d = 1 this is Chebyshev's T_j = 2t T_{j-1} - T_{j-2}.
     """
     if d < 1:
         raise ValueError("sphere dimension must be >= 1")
     if k_max < 0:
         raise ValueError("degree must be >= 0")
-    family = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    rows, dens = [[1], [0, 1]], [1, 1]
     for j in range(2, k_max + 1):
-        prev2, prev1 = family[-2], family[-1]
-        cur = [Fraction(0)] + [(2 * j + d - 3) * c for c in prev1]
-        for i, c in enumerate(prev2):
-            cur[i] -= (j - 1) * c
-        family.append([c / (j + d - 2) for c in cur])
-    return family[: k_max + 1]
+        a, b = 2 * j + d - 3, (j - 1) * (j + d - 3 if j > 2 else 1)
+        rows.append([a * x - b * y for x, y in zip([0, *rows[-1]], [*rows[-2], 0, 0])])
+        dens.append(dens[-1] * (j + d - 2))
+    return rows[: k_max + 1], dens[: k_max + 1]
 
 
 def gegenbauer(d: int, k: int) -> GegenbauerPoly:
     """Normalized degree-k Gegenbauer polynomial for S^d; of its family only this member is checked."""
-    return GegenbauerPoly(coeffs=tuple(_family_coefficients(d, k)[-1]))
+    rows, dens = _family_coefficients(d, k)
+    return GegenbauerPoly(coeffs=tuple(Fraction(c, dens[-1]) for c in rows[-1]))
 
 
 def gegenbauer_rows(

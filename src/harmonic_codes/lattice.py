@@ -7,12 +7,13 @@ Fraction.  The 240 E8 roots are generated in the even coordinate system
 becomes integral: stored norms are all 8.
 
 A code's dot products come from column packing (dot_fields): each
-coordinate is packed once as one big integer over all points, and a point's
-row is a few small multiples of those columns, whose byte fields hold its
-dots with every point, as wide as the Cauchy-Schwarz bound on the
-gcd-reduced norm needs.  The spectrum tallies each row's later points, and
-the exact Gram of a built code maps each row through its kernel values; the
-double loop over scaled dot products is the tests' witness for every row.
+coordinate is packed once, from biased fields, into one big integer, and a
+point's row is a few small multiples of those columns, whose byte fields
+hold its dots with every point, as wide as the Cauchy-Schwarz bound on the
+gcd-reduced norm needs, read by one decoder.  The spectrum tallies each
+row's later points, and the exact Gram of a built code maps each row through
+its kernel values; the double loop over scaled dot products is the tests'
+witness for every row.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd
-from operator import mul, neg, sub
+from operator import mul, neg
 
 # Normalized inner-product value -> count over ordered distinct pairs.
 Spectrum = dict[Fraction, int]
@@ -122,20 +123,20 @@ def dot_fields(code: LatticeCode) -> tuple[Callable[..., int], Iterator[Sequence
 
     Returns (dot, rows): rows yields, for each point i in order, a sequence
     whose j-th key holds p_i . p_j, and dot(key) is that dot product.  A key is
-    a biased field of a packed row: its byte when the field is one byte wide,
-    else the bytes object of the field.  Equal keys hold equal dots, so a
-    caller can tally or tabulate keys and decode only the distinct ones.
+    a biased field of a packed row, its byte when the field is one byte wide,
+    else its bytes object; one dot decodes both.  Equal keys hold equal dots,
+    so a caller can tally or tabulate keys and decode only the distinct ones.
 
     The points are divided by their coordinates' gcd g (dot(key) multiplies
-    back by g^2, so a scaled code packs as its primitive form).  Each
-    coordinate k is packed once as the column C_k = sum_j (p_j[k]/g) B^j with
-    B = 256^width, and row i is bias + sum_k (p_i[k]/g) C_k over its nonzero
-    coordinates: a few small multiples of big integers, whose base-B digit j
-    is p_i . p_j / g^2 + half.  Each digit holds a full dot, which by
+    back by g^2, so a scaled code packs as its primitive form).  Column C_k =
+    sum_j (p_j[k]/g) B^j, B = 256^width, is packed once: the biased fields
+    p_j[k]/g + half joined as bytes, less bias = sum_j half B^j.  Row i is
+    bias + sum_k (p_i[k]/g) C_k over its nonzero coordinates, whose base-B
+    digit j is p_i . p_j / g^2 + half.  Each digit holds a full dot, which by
     Cauchy-Schwarz and the equinorm premise is at most n = norm_sq_scaled / g^2
     in absolute value; `width` is the least byte count with n < half =
-    2^(8 width - 1), so every biased dot lies in [0, B) and the row's bytes
-    hold the dots with no carry between them.
+    2^(8 width - 1), so every biased dot, and every biased coordinate (at most
+    sqrt(n)), lies in [0, B) and the row's bytes hold the dots with no carry.
     """
     pts = code.points
     coords = set().union(*pts)
@@ -143,14 +144,9 @@ def dot_fields(code: LatticeCode) -> tuple[Callable[..., int], Iterator[Sequence
     width = (code.norm_sq_scaled // g**2).bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     size = len(pts) * width
-
-    def part(sign: int) -> list[int]:
-        """Each coordinate's reduced values of that sign, as magnitudes in their fields."""
-        field = {c: max(sign * c // g, 0).to_bytes(width, "little") for c in coords}
-        return [int.from_bytes(b"".join(map(field.__getitem__, col)), "little") for col in zip(*pts)]
-
-    columns = list(map(sub, part(1), part(-1)))
+    field = {c: (c // g + half).to_bytes(width, "little") for c in coords}
     bias = int.from_bytes(half.to_bytes(width, "little") * len(pts), "little")
+    columns = [int.from_bytes(b"".join(map(field.__getitem__, col)), "little") - bias for col in zip(*pts)]
 
     def rows() -> Iterator[bytes]:
         for p in pts:
@@ -160,17 +156,14 @@ def dot_fields(code: LatticeCode) -> tuple[Callable[..., int], Iterator[Sequence
                     row += c // g * column
             yield row.to_bytes(size, "little")
 
-    if width == 1:
-        def dot(key: int) -> int:
-            return (key - half) * g**2
+    def dot(key: int | bytes) -> int:
+        return ((key if width == 1 else int.from_bytes(key, "little")) - half) * g**2
 
+    if width == 1:
         return dot, rows()
     from struct import Struct  # only wide fields need it; not loaded at start-up
 
-    def wide_dot(key: bytes) -> int:
-        return (int.from_bytes(key, "little") - half) * g**2
-
-    return wide_dot, map(Struct(f"{width}s" * len(pts)).unpack, rows())
+    return dot, map(Struct(f"{width}s" * len(pts)).unpack, rows())
 
 
 def spectrum(code: LatticeCode) -> Spectrum:
@@ -183,8 +176,8 @@ def spectrum(code: LatticeCode) -> Spectrum:
         raise ValueError("empty code has no spectrum")
     dot, rows = dot_fields(code)
     later = [row[i + 1 :] for i, row in enumerate(rows)]
-    # One-byte keys (n < 128, as for E8 and D16) are counted by bytes.count;
-    # a wider field's bytes objects by a Counter.
+    # One-byte keys (n < 128, as for E8 and D16) are counted by bytes.count,
+    # a wider field's bytes objects by a Counter; one dot decodes both.
     if isinstance(later[0], bytes):
         tail = b"".join(later)
         tally = {key: tail.count(key) for key in set(tail)}

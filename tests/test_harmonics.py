@@ -1,3 +1,4 @@
+import fractions
 import random
 from fractions import Fraction
 
@@ -17,7 +18,11 @@ from harmonic_codes.harmonics import (
 
 def gegenbauer_family(d, k_max):
     """Normalized Gegenbauer polynomials P_0, ..., P_k_max for S^d, each checked."""
-    return tuple(GegenbauerPoly(coeffs=tuple(coeffs)) for coeffs in harmonics._family_coefficients(d, k_max))
+    rows, dens = harmonics._family_coefficients(d, k_max)
+    assert len(rows) == len(dens) == k_max + 1
+    return tuple(
+        GegenbauerPoly(coeffs=tuple(Fraction(c, den) for c in row)) for row, den in zip(rows, dens)
+    )
 
 
 def _rising(x, m):
@@ -115,10 +120,11 @@ def _explicit_chebyshev(k):
 
 
 def test_recurrence_matches_series_oracle():
-    # every member of one family run equals the series and the degree-k build
-    for d in range(2, 31):
-        family = gegenbauer_family(d, 16)
-        assert len(family) == 17
+    # every member of one family run equals the series and the degree-k build,
+    # up to k = 16 for d = 2..30 and to k = 60, where the integers are long, on S^7
+    for d, k_max in [*((d, 16) for d in range(2, 31)), (7, 60)]:
+        family = gegenbauer_family(d, k_max)
+        assert len(family) == k_max + 1
         for k, poly in enumerate(family):
             assert len(poly.coeffs) - 1 == k
             assert list(poly.coeffs) == _series_gegenbauer(d, k), (d, k)
@@ -246,6 +252,22 @@ def test_gegenbauer_builds_and_checks_only_its_degree(monkeypatch):
             assert gegenbauer(d, k).coeffs == family[-1].coeffs
             assert checked == [k]
             checked.clear()
+
+
+def test_gegenbauer_runs_its_recurrence_on_integers(monkeypatch):
+    # no Fraction arithmetic: the coefficients are Fractions built once, at the end
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(*args, _name=name, _op=getattr(fractions.Fraction, name)):
+            calls.append(_name)
+            return _op(*args)
+
+        monkeypatch.setattr(fractions.Fraction, name, counted)
+    assert Fraction(1, 2) * 2 / 3 == Fraction(1, 3) and calls == ["__mul__", "__truediv__"]
+    calls.clear()
+    poly = gegenbauer(7, 40)
+    assert calls == []
+    assert list(poly.coeffs) == _series_gegenbauer(7, 40)
 
 
 @settings(max_examples=300, deadline=None)
