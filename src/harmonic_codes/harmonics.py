@@ -16,8 +16,9 @@ gegenbauer_values is its one-point case.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 def harmonic_dimension(d: int, k: int) -> int:
@@ -63,31 +64,37 @@ class GegenbauerPoly:
         return acc
 
 
-def _family_coefficients(d: int, k_max: int) -> tuple[list[list[int]], list[int]]:
-    """Coefficients of P_0, ..., P_k_max for S^d: P_j's are rows[j] / dens[j], from one run.
+def _family_coefficients(d: int, k_max: int) -> Iterator[tuple[list[int], int]]:
+    """Coefficients of P_0, ..., P_k_max for S^d, from one run: yields P_j as (row, den), P_j = row / den.
 
     The normalized family's recurrence (j+d-2) P_j = (2j+d-3) t P_{j-1} - (j-1) P_{j-2},
     from P_0 = 1 and P_1 = t, runs on integers as in gegenbauer_rows:
     a_j = (2j+d-3) t a_{j-1} - (j-1)(j+d-3) a_{j-2} over D_j = D_{j-1} (j+d-2),
     the factor j+d-3 read as 1 at j = 2.  Every P_j is 1 at t = 1 by
     construction, and at d = 1 this is Chebyshev's T_j = 2t T_{j-1} - T_{j-2}.
+    Only the last two rows stay alive: unreduced rows grow as D_j does.  Being
+    a generator, it raises on the first next(), the sphere first.
     """
     if d < 1:
         raise ValueError("sphere dimension must be >= 1")
     if k_max < 0:
         raise ValueError("degree must be >= 0")
-    rows, dens = [[1], [0, 1]], [1, 1]
+    row, den = [1], 1
+    yield row, den
+    if k_max:
+        prev, row = row, [0, 1]
+        yield row, den
     for j in range(2, k_max + 1):
         a, b = 2 * j + d - 3, (j - 1) * (j + d - 3 if j > 2 else 1)
-        rows.append([a * x - b * y for x, y in zip([0, *rows[-1]], [*rows[-2], 0, 0])])
-        dens.append(dens[-1] * (j + d - 2))
-    return rows[: k_max + 1], dens[: k_max + 1]
+        prev, row = row, [a * x - b * y for x, y in zip([0, *row], [*prev, 0, 0])]
+        den *= j + d - 2
+        yield row, den
 
 
 def gegenbauer(d: int, k: int) -> GegenbauerPoly:
     """Normalized degree-k Gegenbauer polynomial for S^d; of its family only this member is checked."""
-    rows, dens = _family_coefficients(d, k)
-    return GegenbauerPoly(coeffs=tuple(Fraction(c, dens[-1]) for c in rows[-1]))
+    ((row, den),) = deque(_family_coefficients(d, k), maxlen=1)
+    return GegenbauerPoly(coeffs=tuple(Fraction(c, den) for c in row))
 
 
 def gegenbauer_rows(

@@ -6,6 +6,12 @@ Fraction.  The 240 E8 roots are generated in the even coordinate system
 (lattice norm^2 = 2) and multiplied by 2 so the half-integer shape
 becomes integral: stored norms are all 8.
 
+Every code is checked once, on the way in, by three whole-code passes at C
+speed (dimensions, norms, distinctness); a per-point walk runs only when one
+fails, to name the first faulty point.  The reader splits and converts its
+rows at C speed, and antipodal representatives are a subset of a checked
+code, so they are not checked again.
+
 A code's dot products come from column packing (dot_fields): each
 coordinate is packed once, from biased fields, into one big integer, and a
 point's row is a few small multiples of those columns, whose byte fields
@@ -21,9 +27,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, product, repeat
 from math import gcd
-from operator import mul, neg
+from operator import gt, mul, neg
 
 # Normalized inner-product value -> count over ordered distinct pairs.
 Spectrum = dict[Fraction, int]
@@ -49,6 +55,14 @@ class LatticeCode:
         self.norm_sq_scaled, self.points = norm_sq_scaled, points
         if self.ambient_dim < 1 or self.scale < 1 or self.norm_sq_scaled < 1:
             raise ValueError("dimensions, scale and norm must be positive")
+        # three whole-code passes at C speed: dimensions, norms, distinctness
+        if (
+            set(map(len, points)) <= {ambient_dim}
+            and set(map(sum, map(map, repeat(mul), points, points))) <= {norm_sq_scaled}
+            and len(set(points)) == len(points)
+        ):
+            return
+        # one failed: walk the points to name the first fault
         seen = set()
         for p in self.points:
             if len(p) != self.ambient_dim:
@@ -58,6 +72,12 @@ class LatticeCode:
             if p in seen:
                 raise ValueError(f"duplicate point {p}")
             seen.add(p)
+
+    def _subset(self, points: tuple[tuple[int, ...], ...]) -> LatticeCode:
+        """This checked code with only the given points, some of its own: nothing to re-check."""
+        code = object.__new__(LatticeCode)
+        vars(code).update(vars(self), points=points)
+        return code
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeCode) and vars(self) == vars(other)
@@ -100,22 +120,18 @@ def generate_e8_roots() -> LatticeCode:
 def select_antipodal_representatives(code: LatticeCode) -> LatticeCode:
     """One point from each antipodal pair, keeping the lexicographically larger.
 
-    Raises ValueError naming the first point whose negation is missing.
+    The negations come from one C-level map and are checked against the code
+    in one set operation; the kept half is a subset of the already-checked
+    code, so it is not checked again.  Raises ValueError naming the first
+    point whose negation is missing.
     """
-    point_set = set(code.points)
-    kept = []
-    for p in code.points:
-        minus = tuple(map(neg, p))
-        if minus not in point_set:
-            raise ValueError(f"point {p} has no antipode in the code")
-        if p > minus:
-            kept.append(p)
-    return LatticeCode(
-        ambient_dim=code.ambient_dim,
-        scale=code.scale,
-        norm_sq_scaled=code.norm_sq_scaled,
-        points=tuple(kept),
-    )
+    pts = code.points
+    negs = list(map(tuple, map(map, repeat(neg), pts)))
+    point_set = set(pts)
+    if not point_set.issuperset(negs):
+        p = next(p for p, minus in zip(pts, negs) if minus not in point_set)
+        raise ValueError(f"point {p} has no antipode in the code")
+    return code._subset(tuple(compress(pts, map(gt, pts, negs))))
 
 
 def dot_fields(code: LatticeCode) -> tuple[Callable[..., int], Iterator[Sequence]]:
@@ -176,11 +192,16 @@ def spectrum(code: LatticeCode) -> Spectrum:
         raise ValueError("empty code has no spectrum")
     dot, rows = dot_fields(code)
     later = [row[i + 1 :] for i, row in enumerate(rows)]
-    # One-byte keys (n < 128, as for E8 and D16) are counted by bytes.count,
-    # a wider field's bytes objects by a Counter; one dot decodes both.
+    # One-byte keys (n < 128, as for E8 and D16) are counted one distinct key
+    # at a time: bytes.translate deletes every copy of the first byte in one C
+    # pass, and the length drop is its count; no Python step runs per byte.
+    # A wider field's bytes objects go to a Counter; one dot decodes both.
     if isinstance(later[0], bytes):
-        tail = b"".join(later)
-        tally = {key: tail.count(key) for key in set(tail)}
+        tail, tally = b"".join(later), {}
+        while tail:
+            rest = tail.translate(None, tail[:1])
+            tally[tail[0]] = len(tail) - len(rest)
+            tail = rest
     else:
         tally = Counter(chain.from_iterable(later))
     # (p,q) and (q,p) carry the same value, so ordered counts are doubled.
@@ -225,12 +246,12 @@ def code_from_text(text: str) -> LatticeCode:
     ambient_dim, n, scale, norm_sq = map(value.__getitem__, header)
     if n < 0:
         raise ValueError(f"point count {n} is negative")
-    body = [line for line in lines[1:] if line.strip()]
-    if len(body) != n:
-        raise ValueError(f"expected {n} points, found {len(body)}")
-    split = [line.split() for line in body]
+    # blank lines split to no tokens and are dropped; the rest convert at C speed
+    split = list(filter(None, map(str.split, lines[1:])))
+    if len(split) != n:
+        raise ValueError(f"expected {n} points, found {len(split)}")
     value = _integers(set().union(*split), "non-integer coordinate")
-    points = tuple(tuple(map(value.__getitem__, row)) for row in split)
+    points = tuple(map(tuple, map(map, repeat(value.__getitem__), split)))
     return LatticeCode(
         ambient_dim=ambient_dim,
         scale=scale,

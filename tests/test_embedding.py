@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmonic_codes import embedding
+from harmonic_codes import embedding, lattice
 from harmonic_codes.cli import main
 from harmonic_codes.codes import certify, report_to_json
 from harmonic_codes.embedding import (
@@ -24,7 +24,7 @@ from harmonic_codes.embedding import (
     parse_rational,
 )
 from harmonic_codes.harmonics import gegenbauer
-from harmonic_codes.lattice import LatticeCode, code_to_text, dot_fields, generate_e8_roots, spectrum
+from harmonic_codes.lattice import LatticeCode, code_from_text, code_to_text, dot_fields, generate_e8_roots, spectrum
 
 # split of the 57120 non-antipodal gram entries, frozen from the exact scan
 POSITIVE_SEVENTH_COUNT = 28560
@@ -176,6 +176,35 @@ def test_build_code_rejects_non_antipodal():
     code = LatticeCode(2, 1, 2, ((1, 1), (1, -1)))
     with pytest.raises(ValueError, match=r"point \(1, 1\) has no antipode"):
         build_code(code)
+
+
+@pytest.mark.parametrize("n", [8, 16], ids=["e8", "d16"])
+def test_parse_and_build_check_each_point_once(n, monkeypatch):
+    # a valid text: LatticeCode's whole-code check runs once, for the parsed
+    # code, and its per-point walk, which reads norms through scaled_dot, never
+    roots = generate_e8_roots() if n == 8 else _dn_roots(n)
+    text = code_to_text(roots)
+    inits, dots = [], []
+    init, dot = LatticeCode.__init__, lattice.scaled_dot
+
+    def counted_init(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_dot(p, q):
+        dots.append(p)
+        return dot(p, q)
+
+    monkeypatch.setattr(LatticeCode, "__init__", counted_init)
+    monkeypatch.setattr(lattice, "scaled_dot", counted_dot)
+    built = build_code(code_from_text(text))
+    assert len(inits) == 1 and dots == []
+    assert len(built.reps) == len(roots) // 2
+    assert built.reps.points == tuple(p for p in roots.points if p > tuple(-c for c in p))
+    # a fault takes the walk, which names the first faulty point
+    with pytest.raises(ValueError, match=r"point \(1, 1\) is not of the declared norm"):
+        LatticeCode(2, 1, 1, ((1, 0), (0, 1), (1, 1)))
+    assert dots == [(1, 0), (0, 1), (1, 1)]
 
 
 def test_build_code_rejects_empty_code():

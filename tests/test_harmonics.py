@@ -1,5 +1,8 @@
 import fractions
+import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,11 +21,9 @@ from harmonic_codes.harmonics import (
 
 def gegenbauer_family(d, k_max):
     """Normalized Gegenbauer polynomials P_0, ..., P_k_max for S^d, each checked."""
-    rows, dens = harmonics._family_coefficients(d, k_max)
-    assert len(rows) == len(dens) == k_max + 1
-    return tuple(
-        GegenbauerPoly(coeffs=tuple(Fraction(c, den) for c in row)) for row, den in zip(rows, dens)
-    )
+    family = list(harmonics._family_coefficients(d, k_max))
+    assert len(family) == k_max + 1
+    return tuple(GegenbauerPoly(coeffs=tuple(Fraction(c, den) for c in row)) for row, den in family)
 
 
 def _rising(x, m):
@@ -268,6 +269,23 @@ def test_gegenbauer_runs_its_recurrence_on_integers(monkeypatch):
     poly = gegenbauer(7, 40)
     assert calls == []
     assert list(poly.coeffs) == _series_gegenbauer(7, 40)
+
+
+def test_gegenbauer_keeps_only_the_last_rows():
+    # unreduced rows grow as D_k: keeping every member up to k peaked at ~190x
+    # the last row's size for k = 600, keeping two peaks at ~3x
+    d, k = 7, 600
+    poly = gegenbauer(d, k)
+    den = math.prod(range(d, k + d - 1))  # D_k = d (d+1) ... (k+d-2)
+    row = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+    row_bytes = sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+    tracemalloc.start()
+    try:
+        assert gegenbauer(d, k).coeffs == poly.coeffs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * row_bytes, (peak, row_bytes)
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,6 +17,7 @@ from harmonic_codes.lattice import (
     select_antipodal_representatives,
     spectrum,
 )
+from test_embedding import _signed_permutations as _every_signed_permutation
 
 
 def test_root_count_and_header_fields(e8_roots):
@@ -90,6 +91,10 @@ def test_representative_keeps_lexicographically_larger():
 def test_representative_selection_rejects_unpaired():
     code = LatticeCode(2, 1, 2, ((1, 1), (-1, -1), (1, -1)))
     with pytest.raises(ValueError, match=r"point \(1, -1\) has no antipode"):
+        select_antipodal_representatives(code)
+    # of several unpaired points, the first in the code's order is named
+    code = LatticeCode(2, 1, 5, ((2, 1), (-1, 2), (-2, -1), (1, 2)))
+    with pytest.raises(ValueError, match=r"^point \(-1, 2\) has no antipode in the code$"):
         select_antipodal_representatives(code)
 
 
@@ -200,6 +205,12 @@ def _antipodal_pair(norm):
 # +-n with n = half - 1 fills the field from digit 1 to digit 2 half - 1
 @example(_antipodal_pair(127))
 @example(_antipodal_pair(2**15 - 1))
+# the one-byte tally: all 48 signed permutations of (1, 2, 3) hold 23 distinct
+# keys; two points of norm 127 at dot 126 and their antipodes hold the keys
+# 0x01 and 0xfe, the ends a one-byte spectrum key reaches (|dot| < n < 128 for
+# distinct points: 0x00 never occurs, 0xff only on the diagonal the tally skips)
+@example(_every_signed_permutation((1, 2, 3)))
+@example(LatticeCode(5, 1, 127, ((5, 4, 9, 2, 1), (4, 5, 9, 2, 1), (-5, -4, -9, -2, -1), (-4, -5, -9, -2, -1))))
 def test_spectrum_matches_pair_witness(code):
     assert spectrum(code) == _pair_witness(code)
     assert _dot_rows(code) == _dot_witness(code)
@@ -238,6 +249,30 @@ def test_code_validation():
         LatticeCode(2, 1, 1, ((1, 0), (1, 1)))  # not equinorm
     with pytest.raises(ValueError, match="has wrong dimension"):
         LatticeCode(2, 1, 1, ((1, 0, 0),))  # wrong dimension
+
+
+A, B_WRONG_DIM, C_WRONG_NORM = (1, 0), (1, 0, 0), (1, 1)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        # the first faulty point in order is named, whichever whole-code pass fails first
+        ((A, A, B_WRONG_DIM), "duplicate point (1, 0)"),
+        ((B_WRONG_DIM, A, A), "point (1, 0, 0) has wrong dimension"),
+        ((C_WRONG_NORM, A, A), "point (1, 1) is not of the declared norm"),
+        ((A, A, C_WRONG_NORM), "duplicate point (1, 0)"),
+        ((A, C_WRONG_NORM, B_WRONG_DIM), "point (1, 1) is not of the declared norm"),
+        ((A, (-1, 0), (0, 1), B_WRONG_DIM, C_WRONG_NORM), "point (1, 0, 0) has wrong dimension"),
+        # wrong-dimension points of the declared norm, one short and one long
+        (((1,),), "point (1,) has wrong dimension"),
+        ((A, (0, 0, 1)), "point (0, 0, 1) has wrong dimension"),
+    ],
+)
+def test_code_validation_names_the_first_fault(points, message):
+    with pytest.raises(ValueError) as caught:
+        LatticeCode(2, 1, 1, points)
+    assert str(caught.value) == message
 
 
 def test_file_round_trip_is_bit_exact(e8_roots, tmp_path):
@@ -281,6 +316,14 @@ def test_bad_files_rejected():
         code_from_text("2 1 1 1\n1 1\n")  # wrong norm
     with pytest.raises(ValueError, match="point count -1 is negative"):
         code_from_text("2 -1 1 1\n")
+
+
+def test_blank_lines_are_skipped():
+    # lines of whitespace alone, Unicode whitespace included, are no points
+    code = LatticeCode(2, 1, 1, ((1, 0), (0, -1)))
+    assert code_from_text("2 2 1 1\n\n \t\n1 0\n\u3000\n 0\t-1 \n\n") == code
+    with pytest.raises(ValueError, match="expected 2 points, found 1"):
+        code_from_text("2 2 1 1\n1 0\n \n\x0c\n")
 
 
 def test_read_from_stream(e8_roots):
