@@ -7,15 +7,15 @@ spectrum is always user input; nothing about any particular lattice is
 assumed here.  A scan puts the values over the lcm of their denominators
 and runs the Gegenbauer recurrence once for all of them.  Each ScanResult
 keeps the recurrence's integer row: the scan's values, the degree's
-numerators and their one denominator.  The moduli compare as integers, the
-JSON image tokens are written from the integers, and a Fraction is built
-only for a modulus or coherence that is read; none is hashed unless a
-caller reads image_values.
+numerators and their one denominator.  The moduli compare as integers, and
+the JSON lines are written as text straight from the integers, with no
+encoder and no Fraction built; a Fraction is built only for a modulus or
+coherence that is read, and none is hashed unless a caller reads
+image_values.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, TextIO
@@ -150,22 +150,33 @@ def _token(a: int, den: int) -> str:
 
 
 def scan_to_json(result: ScanResult) -> str:
-    den, modulus = result.den, result.modulus
-    return json.dumps({
-        "d": result.d,
-        "k": result.k,
-        "harmonic_dim": result.harmonic_dim,
-        "image": {str(v): _token(a, den) for v, a in zip(result.values, result.nums)},
-        "constant_modulus": modulus is not None,
-        "modulus": None if modulus is None else str(modulus),
-    }) + "\n"
+    """The scan as one JSON line, byte for byte as json.dumps writes it.
+
+    Every string written is a number token (ASCII digits, "-" and "/"), so
+    nothing needs escaping; one set of the absolute numerators gives the
+    verdict and the modulus.
+    """
+    den, nums = result.den, result.nums
+    image = ", ".join([f'"{key}": "{_token(a, den)}"' for key, a in zip(map(str, result.values), nums)])
+    moduli = set(map(abs, nums))
+    constant, modulus = ("true", f'"{_token(moduli.pop(), den)}"') if len(moduli) == 1 else ("false", "null")
+    return (
+        f'{{"d": {result.d}, "k": {result.k}, "harmonic_dim": {result.harmonic_dim}, '
+        f'"image": {{{image}}}, "constant_modulus": {constant}, "modulus": {modulus}}}\n'
+    )
 
 
 def candidate_to_json(summary: CandidateSummary) -> str:
-    return json.dumps({
-        "ambient_dim": summary.scan.harmonic_dim,
-        "n_points": summary.n_points,
-        "coherence": str(summary.coherence),
-        "bound": format_bound(summary.bound),
-        "constant_modulus": summary.scan.constant_modulus,
-    }) + "\n"
+    """The candidate as one JSON line, byte for byte as json.dumps writes it.
+
+    Every string written is a number token (ASCII digits, "-", "/" or
+    sqrt(...) of one), so nothing needs escaping; one set of the absolute
+    numerators gives the coherence and the verdict.
+    """
+    scan = summary.scan
+    moduli = set(map(abs, scan.nums))
+    return (
+        f'{{"ambient_dim": {scan.harmonic_dim}, "n_points": {summary.n_points}, '
+        f'"coherence": "{_token(max(moduli), scan.den)}", "bound": "{format_bound(summary.bound)}", '
+        f'"constant_modulus": {"true" if len(moduli) == 1 else "false"}}}\n'
+    )

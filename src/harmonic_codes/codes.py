@@ -229,16 +229,25 @@ def format_bound(bound: QuadraticBound) -> str:
 
 
 def report_to_json(report: CodeReport) -> str:
-    import json  # only certify writes JSON here; not loaded at start-up
+    """The certificate as JSON text, byte for byte as json.dumps(..., indent=2) writes it.
 
-    return json.dumps({
-        "ambient_dim": report.ambient_dim,
-        "n_points": report.n_points,
-        "coherence": str(report.coherence_a),
-        "spectrum": {str(v): count for v, count in report.spectrum.items()},
-        "bound": format_bound(report.bound),
-        "frame_sum": str(report.frame.frame_sum),
-        "frame_bound": str(report.frame.frame_bound),
-        "design_strength": report.design.strength,
-        "optimal_antipodal": report.optimal_antipodal,
-    }, indent=2) + "\n"
+    Every string written is a number token (ASCII digits, "-", "/" or
+    sqrt(...) of one), so nothing needs escaping.  The spectrum is never
+    empty: certify has raised before on a code with no pair to take
+    coherence over.
+    """
+    spectrum = report.spectrum
+    entries = ",\n".join([f'    "{key}": {count}' for key, count in zip(map(str, spectrum), spectrum.values())])
+    return (
+        "{\n"
+        f'  "ambient_dim": {report.ambient_dim},\n'
+        f'  "n_points": {report.n_points},\n'
+        f'  "coherence": "{str(report.coherence_a)}",\n'
+        f'  "spectrum": {{\n{entries}\n  }},\n'
+        f'  "bound": "{format_bound(report.bound)}",\n'
+        f'  "frame_sum": "{str(report.frame.frame_sum)}",\n'
+        f'  "frame_bound": "{str(report.frame.frame_bound)}",\n'
+        f'  "design_strength": {report.design.strength},\n'
+        f'  "optimal_antipodal": {"true" if report.optimal_antipodal else "false"}\n'
+        "}\n"
+    )

@@ -217,6 +217,10 @@ def _values(value, min_size=0):
 @example(values=[0], d=7, ks=[1], half_n=2)
 @example(values=[-HALF, 0, HALF], d=7, ks=[2], half_n=120)
 @example(values=[Fraction(1, 3), Fraction(-1, 4)], d=4, ks=[3, 1], half_n=5)
+# a modulus of 0 at every odd degree, and multi-digit negative keys next to
+# multi-digit image tokens
+@example(values=[0], d=3, ks=[3, 1, 5], half_n=2)
+@example(values=[Fraction(-11, 12), Fraction(-10, 11), Fraction(1, 12)], d=9, ks=[2, 7], half_n=60)
 def test_scan_and_candidates_match_witness(values, d, ks, half_n):
     # repeated, unsorted, int next to Fraction: the same results, key order and bytes
     values = values + [0, Fraction(0)][: len(values) % 3]

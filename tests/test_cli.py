@@ -109,6 +109,9 @@ MIXED_SCAN_SHA256 = "a8b9c97fbc03b9bd2b5f544035b38fda7ac61e3af16ee259c1867bf924e
 E8_CERTIFY_SHA256 = "a9484497a43dc8831745cba3bb1c7415b90cd026a8738cfdd20f68636fcb1fc6"
 CROSS_POLYTOPE_CERTIFY_SHA256 = "10372ec916ef9bf865cd1e8d5c5f693d12d364dd70978b26b3648457434e2e34"
 SQUARE_CERTIFY_SHA256 = "a9b9554a0216afc5f087ea3d93c5e413c16abb70ce66107729d9266143067543"
+# and for D16 (exit 1, the irrational bound sqrt(7/2151)): the certificate's
+# false and sqrt(...) tokens
+D16_CERTIFY_SHA256 = "dd154761aba322afd0687e51bf7642bebea8845ee4442a0c3849970865b976e7"
 # sha256 of the 240 scaled E8 roots as `roots` writes them
 E8_ROOTS_SHA256 = "c3b35d47ab7cde21729819fb927fb318fdd42dfc53b300f77b6002289c02d983"
 # sha256 of the D4 roots' exact Gram: g2(1/2) = 0 at m = 4, so both blocks hold
@@ -261,6 +264,8 @@ ROWS = _readme_rows() + [
   "optimal_antipodal": false
 }
 """),
+    # the default --t-max spelled out writes the same bytes
+    Row("certify --in - --t-max 3", "d16", 1, out=_sha256_is(D16_CERTIFY_SHA256)),
     Row("certify --in -", "cross-polytope", 1, _json_has(coherence="1/2", bound="0", optimal_antipodal=False)),
     # on the circle g2(0) = -1, so non-antipodal pairs carry -1 next to +1: coherence 1
     Row("certify --in -", "square", 1, _json_has(coherence="1", optimal_antipodal=False)),
@@ -664,6 +669,29 @@ def test_scan_builds_two_fractions_per_degree_and_hashes_none(capsys, monkeypatc
         image = result.image_values
         assert list(image) == [Fraction(-1, 2), 0, Fraction(1, 2)]
         assert all(isinstance(g, Fraction) for g in image.values())
+
+
+def test_scan_writers_build_no_fraction(capsys, monkeypatch):
+    # both JSON writers format each degree's modulus and coherence from its
+    # integer row: the k = 1..12 sweep builds only the three spectrum values,
+    # rebuilt once per scan as they are not Counted, and hashes no Fraction
+    built, hashed = [], []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+        def __hash__(self):
+            hashed.append(self)
+            return super().__hash__()
+
+    monkeypatch.setattr("harmonic_codes.analyzer.Fraction", Counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n1/2\n-1/2\n"))
+    assert main(PINNED_SCAN) == 0
+    assert _sha256(capsys.readouterr().out) == PINNED_SCAN_SHA256
+    assert sorted(built) == [(-1, 2), (0, 1), (1, 2)]
+    assert hashed == []
 
 
 def test_scan_leech_spectrum(tmp_path, capsys):

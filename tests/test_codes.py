@@ -3,11 +3,11 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from functools import lru_cache, partial
+from itertools import permutations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from harmonic_codes.analyzer import candidate_from_scan, constant_modulus_scan
@@ -34,7 +34,9 @@ from harmonic_codes.embedding import (
     float_code_to_text,
 )
 from harmonic_codes.harmonics import gegenbauer
-from harmonic_codes.lattice import LatticeCode, select_antipodal_representatives, spectrum
+from harmonic_codes.lattice import LatticeCode, generate_e8_roots, select_antipodal_representatives, spectrum
+from test_embedding import _dn_roots
+from test_lattice import _cross_polytope
 
 
 def _pair_code():
@@ -446,23 +448,49 @@ def test_report_json_irrational_bound():
     assert json.loads(report_to_json(report))["bound"] == "sqrt(25/1152)"
 
 
+def _cross_polytope_code(m):
+    """+-e_i in R^m: m = 2 is the square on the circle."""
+    return LatticeCode(m, 1, 1, _cross_polytope(m, 1))
+
+
+# exit 0 and exit 1, rational and irrational bounds: E8 meets 1/7, D16 falls
+# short of sqrt(7/2151), and every cross-polytope is short of the bound 0
+_REPORT_CODES = {
+    **{f"cross-polytope-{m}": partial(_cross_polytope_code, m) for m in range(2, 9)},
+    **{f"d{n}": partial(_dn_roots, n) for n in (*range(4, 9), 16)},
+    "e8": generate_e8_roots,
+}
+
+
+@lru_cache(maxsize=None)
+def _report_code(name):
+    return build_code(_REPORT_CODES[name]())
+
+
+def _report_json_witness(report):
+    return json.dumps({
+        "ambient_dim": report.ambient_dim,
+        "n_points": report.n_points,
+        "coherence": str(report.coherence_a),
+        "spectrum": {str(v): count for v, count in report.spectrum.items()},
+        "bound": format_bound(report.bound),
+        "frame_sum": str(report.frame.frame_sum),
+        "frame_bound": str(report.frame.frame_bound),
+        "design_strength": report.design.strength,
+        "optimal_antipodal": report.optimal_antipodal,
+    }, indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_REPORT_CODES)), t_max=st.integers(1, 6))
+@example(name="e8", t_max=3)
+@example(name="d16", t_max=3)
+def test_report_json_matches_json_dumps_witness(name, t_max):
+    report = certify(_report_code(name), t_max=t_max)
+    assert report_to_json(report) == _report_json_witness(report)
+
+
 # --- histogram folds against an independent witness ------------------------
-
-
-def _cross_polytope_roots():
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return LatticeCode(3, 1, 1, basis + tuple(tuple(-x for x in p) for p in basis))
-
-
-def _d4_roots():
-    points = []
-    for i, j in combinations(range(4), 2):
-        for si in (1, -1):
-            for sj in (1, -1):
-                p = [0] * 4
-                p[i], p[j] = si, sj
-                points.append(tuple(p))
-    return LatticeCode(4, 1, 2, tuple(points))
 
 
 def _frobenius_gram(roots):
@@ -506,7 +534,7 @@ def _direct_certificate(gram, dim, t_max):
 
 @pytest.mark.parametrize(
     "make, optimal",
-    [(_cross_polytope_roots, False), (_d4_roots, False), (None, True)],
+    [(partial(_cross_polytope_code, 3), False), (partial(_dn_roots, 4), False), (None, True)],
     ids=["cross-polytope-3", "d4-roots", "e8"],
 )
 def test_histogram_folds_match_direct_scan(make, optimal, e8_roots):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import PINNED_SCAN, PINNED_SCAN_SHA256
+from test_cli import E8_CERTIFY_SHA256, INPUTS, PINNED_SCAN, PINNED_SCAN_SHA256
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -55,11 +55,34 @@ def test_cli_import_loads_no_dataclasses_inspect_or_analyzer():
     assert (cli - bare) & {"dataclasses", "inspect", "harmonic_codes.analyzer"} == set()
 
 
+def _json_modules(modules):
+    return {m for m in modules if m.split(".")[0] in ("json", "_json")}
+
+
 def test_cli_import_loads_no_json():
-    # only certify and scan write JSON, and each imports json when it runs
+    # certify and scan write their JSON as text, so no subcommand imports json
     bare, _ = _fresh_import("sys")
     cli, _ = _fresh_import("harmonic_codes.cli")
-    assert {m for m in cli - bare if m.split(".")[0] in ("json", "_json")} == set()
+    assert _json_modules(cli - bare) == set()
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, digest",
+    [(PINNED_SCAN, "0\n1/2\n-1/2\n", PINNED_SCAN_SHA256), (["certify", "--in", "-"], INPUTS["e8"], E8_CERTIFY_SHA256)],
+    ids=["scan", "certify"],
+)
+def test_json_writing_runs_load_no_json(argv, stdin, digest):
+    # a fresh interpreter runs the subcommand through cli.main, writes its
+    # pinned bytes, then lists its modules on stderr: json is not among them
+    script = (
+        "import sys\nfrom harmonic_codes.cli import main\n"
+        f"status = main({argv!r})\nprint(' '.join(sys.modules), file=sys.stderr)\nsys.exit(status)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], input=stdin, env=ENV, capture_output=True, text=True,
+                         check=True)
+    assert hashlib.sha256(run.stdout.encode("utf-8")).hexdigest() == digest
+    bare, _ = _fresh_import("sys")
+    assert _json_modules(set(run.stderr.split()) - bare) == set()
 
 
 def test_scan_runs_in_a_fresh_process():
