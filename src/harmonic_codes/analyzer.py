@@ -12,34 +12,34 @@ the JSON lines are written as text straight from the integers, with no
 encoder and no Fraction built; a Fraction is built only for a modulus or
 coherence that is read, and none is hashed unless a caller reads
 image_values.
+
+The module imports only harmonics from the package (the p/q parser and the
+quadratic bound live there), so a `scan` run loads no embedding, lattice or
+certificate code.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, NamedTuple, TextIO
+from io import TextIOBase
 
-from .codes import QuadraticBound, format_bound, quadratic_bound
-from .embedding import parse_rational
 # gegenbauer stays importable here: bench/run.py shims it by name.
-from .harmonics import gegenbauer, gegenbauer_rows, harmonic_dimension
+from .harmonics import format_bound, gegenbauer, gegenbauer_rows, harmonic_dimension, parse_rational, quadratic_bound
 
 
-class ScanResult(NamedTuple):
+class ScanResult(namedtuple("ScanResult", "d k harmonic_dim values nums den")):
     """Image of one spectrum under g_k^d, as one row of the recurrence.
 
-    values lists the scan's values in ascending order (one tuple shared by
-    every degree of a scan); the image of values[i] is nums[i] / den, den > 0.
-    Everything else is read off that row.
+    values is a tuple of the scan's Fraction values in ascending order (one
+    tuple shared by every degree of a scan); the image of values[i] is
+    nums[i] / den, with nums a tuple of ints and den > 0.  Everything else is
+    read off that row.
     """
 
-    d: int
-    k: int
-    harmonic_dim: int
-    values: tuple[Fraction, ...]
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ()
 
     @property
     def image_values(self) -> dict[Fraction, Fraction]:
@@ -62,12 +62,10 @@ class ScanResult(NamedTuple):
         return self.max_modulus if self.constant_modulus else None
 
 
-class CandidateSummary(NamedTuple):
-    """Hypothetical embedded-code parameters for a spectrum: its scan, size, bound."""
+class CandidateSummary(namedtuple("CandidateSummary", "scan n_points bound")):
+    """Hypothetical embedded-code parameters for a spectrum: its ScanResult, size and QuadraticBound."""
 
-    scan: ScanResult
-    n_points: int
-    bound: QuadraticBound
+    __slots__ = ()
 
     @property
     def coherence(self) -> Fraction:
@@ -132,7 +130,7 @@ def candidate_parameters(
 # --- spectrum file and report rendering -------------------------------------
 
 
-def read_spectrum_file(f: TextIO) -> list[Fraction]:
+def read_spectrum_file(f: TextIOBase) -> list[Fraction]:
     """One p/q token per line; blank lines ignored."""
     out = []
     for line in f.read().splitlines():

@@ -4,6 +4,10 @@ Exit protocol: 0 on success, 1 on domain or certification failures, 2 on
 I/O failures, 64 on usage errors.  `certify` exits 0 only when the coherence
 meets the quadratic bound and the frame inequality holds, so CI can treat it
 as a theorem check of optimality; design strength is reported, not judged.
+
+Each subcommand imports the package modules it runs when it runs, so
+parsing the command line loads none of them and `roots`, for one, loads
+only the lattice module.
 """
 
 from __future__ import annotations
@@ -13,16 +17,6 @@ import io
 import sys
 
 from . import __version__
-from .codes import (
-    certify,
-    design_strength,
-    format_bound,
-    quadratic_bound,
-    report_to_json,
-)
-from .embedding import build_code, float_code_to_text, gram_to_text, parse_rational
-from .harmonics import gegenbauer, gegenbauer_values, harmonic_dimension
-from .lattice import code_from_text, code_to_text, generate_e8_roots
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,18 +49,27 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _built(args):
+    from .embedding import build_code
+    from .lattice import code_from_text
+
     return build_code(code_from_text(_read(args.infile)))
 
 
 def cmd_roots(args) -> tuple[int, str]:
+    from .lattice import code_to_text, generate_e8_roots
+
     return 0, code_to_text(generate_e8_roots())
 
 
 def cmd_dim(args) -> tuple[int, str]:
+    from .harmonics import harmonic_dimension
+
     return 0, f"{harmonic_dimension(args.d, args.k)}\n"
 
 
 def cmd_gegenbauer(args) -> tuple[int, str]:
+    from .harmonics import gegenbauer, gegenbauer_values, harmonic_dimension, parse_rational
+
     if args.at is None:
         return 0, " ".join(map(str, gegenbauer(args.d, args.k).coeffs)) + "\n"
     harmonic_dimension(args.d, args.k)  # d and k are rejected before the point is parsed
@@ -85,15 +88,21 @@ def cmd_build(args) -> tuple[int, str]:
 
 
 def cmd_certify(args) -> tuple[int, str]:
+    from .codes import certify, report_to_json
+
     report = certify(_built(args), t_max=args.t_max)
     return 0 if report.passed else 1, report_to_json(report)
 
 
 def cmd_bound(args) -> tuple[int, str]:
+    from .harmonics import format_bound, quadratic_bound
+
     return 0, format_bound(quadratic_bound(args.n, args.dim)) + "\n"
 
 
 def cmd_design(args) -> tuple[int, str]:
+    from .codes import design_strength
+
     code = _built(args)
     check = design_strength(code, code.ambient_harmonic_dim - 1, args.t_max)
     lines = [f"design_strength {check.strength}\n"]
@@ -102,7 +111,7 @@ def cmd_design(args) -> tuple[int, str]:
 
 
 def cmd_scan(args) -> tuple[int, str]:
-    from . import analyzer  # imported here: no other subcommand needs it
+    from . import analyzer
 
     values = analyzer.read_spectrum_file(io.StringIO(_read(args.infile)))
     k_max = args.k_max if args.k_max is not None else args.k
@@ -118,6 +127,8 @@ def cmd_scan(args) -> tuple[int, str]:
 
 
 def cmd_export(args) -> tuple[int, str]:
+    from .embedding import float_code_to_text, gram_to_text
+
     code = _built(args)
     return 0, gram_to_text(code.gram) if args.exact else float_code_to_text(code)
 

@@ -9,20 +9,21 @@ Gram spectrum; the frame and design sums add the diagonal as their n term.
 Two unit vectors are antipodal exactly when their Gram value is -1, so
 coherence skips the -1 values and needs no pairing of its own.  The
 optimality verdict is the exact comparison of achieved coherence against the
-bound.
+bound, which harmonics computes (QuadraticBound, quadratic_bound and
+format_bound are importable from here too).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
 
 from .embedding import EmbeddedCode, Rows
-# gegenbauer stays importable here: bench/run.py shims it by name.
-from .harmonics import gegenbauer, gegenbauer_rows
+# gegenbauer stays importable here: bench/run.py shims it by name.  The bound's
+# record, constructor and formatter live in harmonics and keep their names here.
+from .harmonics import QuadraticBound, format_bound, gegenbauer, gegenbauer_rows, quadratic_bound
 from .lattice import Spectrum
 
 
@@ -52,11 +53,10 @@ class GramView:
         self.histogram = Counter({v: 2 * c for v, c in counts.items()})
 
 
-class FrameCheck(NamedTuple):
-    """The Gram's squared-entry sum and the n^2/dim it is compared against."""
+class FrameCheck(namedtuple("FrameCheck", "frame_sum frame_bound")):
+    """The Gram's squared-entry sum and the n^2/dim it is compared against, both Fractions."""
 
-    frame_sum: Fraction
-    frame_bound: Fraction
+    __slots__ = ()
 
     @property
     def satisfied(self) -> bool:
@@ -64,25 +64,10 @@ class FrameCheck(NamedTuple):
         return self.frame_sum >= self.frame_bound
 
 
-class QuadraticBound(NamedTuple):
-    """Lower bound a_min on antipodal-code coherence, kept exact as a_min^2 = radicand >= 0."""
+class DesignCheck(namedtuple("DesignCheck", "residuals")):
+    """Gegenbauer moment residuals for k = 1..t_max, a tuple of Fractions, the diagonal term included."""
 
-    radicand: Fraction
-
-    @property
-    def value(self) -> Fraction | None:
-        """The rational square root of the radicand, or None when the bound is irrational."""
-        q = self.radicand
-        rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-        if rn * rn != q.numerator or rd * rd != q.denominator:
-            return None
-        return Fraction(rn, rd)
-
-
-class DesignCheck(NamedTuple):
-    """Gegenbauer moment residuals for k = 1..t_max, the diagonal term included."""
-
-    residuals: tuple[Fraction, ...]
+    __slots__ = ()
 
     @property
     def strength(self) -> int:
@@ -90,19 +75,15 @@ class DesignCheck(NamedTuple):
         return next((t for t, r in enumerate(self.residuals) if r), len(self.residuals))
 
 
-class CodeReport(NamedTuple):
+class CodeReport(namedtuple("CodeReport", "ambient_dim n_points coherence_a spectrum bound frame design")):
     """Certified parameters of an embedded antipodal code, with its folds' results.
 
-    spectrum lists the values in ascending order; report_to_json keeps it.
+    ambient_dim and n_points are ints, coherence_a a Fraction, spectrum a
+    Spectrum listing the values in ascending order (report_to_json keeps it),
+    then the QuadraticBound, FrameCheck and DesignCheck.
     """
 
-    ambient_dim: int
-    n_points: int
-    coherence_a: Fraction
-    spectrum: Spectrum
-    bound: QuadraticBound
-    frame: FrameCheck
-    design: DesignCheck
+    __slots__ = ()
 
     @property
     def optimal_antipodal(self) -> bool:
@@ -158,24 +139,6 @@ def frame_bound_check(g: Histogrammed, dim: int) -> FrameCheck:
     return FrameCheck(frame_sum, Fraction(g.n * g.n, dim))
 
 
-def quadratic_bound(n: int, dim: int) -> QuadraticBound:
-    """Smallest possible coherence of an antipodal n-point code in dim dimensions.
-
-    From sum (y_i,y_j)^2 >= n^2/dim the diagonal and antipodal pairs each
-    contribute n, leaving n(n-2) ordered pairs to average at least
-    (n^2/dim - 2n)/(n(n-2)) = (n - 2 dim)/(dim (n-2)).  The record keeps that
-    average, clamped at zero, as its radicand; its value is the rational
-    square root, if any.
-    """
-    if n % 2 != 0:
-        raise ValueError("antipodal codes have an even number of points")
-    if n < 4:
-        raise ValueError("need at least two antipodal pairs")
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    return QuadraticBound(Fraction(max(0, n - 2 * dim), dim * (n - 2)))
-
-
 def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:
     """Gegenbauer moment residuals for k = 1..t_max; strength counts the leading zeros.
 
@@ -221,11 +184,6 @@ def certify(code: EmbeddedCode, t_max: int = 3) -> CodeReport:
 
 
 # --- report serialization ---------------------------------------------------
-
-
-def format_bound(bound: QuadraticBound) -> str:
-    value = bound.value
-    return f"sqrt({bound.radicand})" if value is None else str(value)
 
 
 def report_to_json(report: CodeReport) -> str:

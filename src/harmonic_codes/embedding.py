@@ -20,8 +20,9 @@ alone; the keys are checked exactly against the explicit matrices
 (embed_degree2).
 
 The matrix model lives here too, as plain tuples of Fraction rows, with its
-integer flattening (_integer_flat, as acceptance criterion 05 uses it) and
-the p/q token parser; malformed input raises ValueError.
+integer flattening (_integer_flat, as acceptance criterion 05 uses it); the
+Gram reader parses its tokens with harmonics' p/q parser, still importable
+here as parse_rational, and malformed input raises ValueError.
 """
 
 from __future__ import annotations
@@ -32,24 +33,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .harmonics import gegenbauer_values, harmonic_dimension
+from .harmonics import gegenbauer_values, harmonic_dimension, parse_rational
 from .lattice import LatticeCode, _integers, dot_fields, select_antipodal_representatives, spectrum
-
-
-def parse_rational(token: str) -> Fraction:
-    """A p/q (or plain decimal) token as a Fraction; malformed tokens are a ValueError.
-
-    Exponent notation is rejected: 1e29999999 would expand to a huge integer.
-    So are non-ASCII digits and `_` separators, which Fraction() would read.
-    """
-    if not token.isascii() or "_" in token:
-        raise ValueError(f"bad rational token {token!r}")
-    if "e" in token or "E" in token:
-        raise ValueError(f"exponent notation is not accepted: {token!r}")
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational token {token!r}") from exc
 
 
 # A matrix as its tuple of Fraction rows: the exact Gram and the degree-2 images.

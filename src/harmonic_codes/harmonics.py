@@ -1,4 +1,4 @@
-"""Spherical-harmonic dimensions and normalized Gegenbauer polynomials.
+"""Spherical-harmonic dimensions, normalized Gegenbauer polynomials and the quadratic bound.
 
 The polynomials here are the ultraspherical family C_k^lambda with
 lambda = (d-1)/2 for points on S^d, normalized so that the value at t = 1
@@ -11,14 +11,36 @@ one denominator per degree: gegenbauer builds a Fraction only for the member
 it returns, and gegenbauer_rows runs it at many rational points over one
 common denominator, one list of numerators per degree, with no coefficients;
 gegenbauer_values is its one-point case.
+
+The p/q token parser and the quadratic lower bound on antipodal-code
+coherence live here too, beside the dimensions they are read with: this
+module imports nothing from the package, so `scan` and `bound` load no
+embedding or certificate code.  codes and embedding import them back under
+their old names.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
+
+
+def parse_rational(token: str) -> Fraction:
+    """A p/q (or plain decimal) token as a Fraction; malformed tokens are a ValueError.
+
+    Exponent notation is rejected: 1e29999999 would expand to a huge integer.
+    So are non-ASCII digits and `_` separators, which Fraction() would read.
+    """
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"bad rational token {token!r}")
+    if "e" in token or "E" in token:
+        raise ValueError(f"exponent notation is not accepted: {token!r}")
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational token {token!r}") from exc
 
 
 def harmonic_dimension(d: int, k: int) -> int:
@@ -129,3 +151,41 @@ def gegenbauer_values(d: int, t: int | Fraction, degrees: Iterable[int]) -> list
     """P_k(t) for S^d at each k in degrees: gegenbauer_rows at the one point t = p/q."""
     p, q = t.as_integer_ratio()
     return [Fraction(row[0], den) for row, den in gegenbauer_rows(d, [p], q, degrees)]
+
+
+class QuadraticBound(namedtuple("QuadraticBound", "radicand")):
+    """Lower bound a_min on antipodal-code coherence, kept exact as a_min^2 = radicand >= 0 (a Fraction)."""
+
+    __slots__ = ()
+
+    @property
+    def value(self) -> Fraction | None:
+        """The rational square root of the radicand, or None when the bound is irrational."""
+        q = self.radicand
+        rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+        if rn * rn != q.numerator or rd * rd != q.denominator:
+            return None
+        return Fraction(rn, rd)
+
+
+def quadratic_bound(n: int, dim: int) -> QuadraticBound:
+    """Smallest possible coherence of an antipodal n-point code in dim dimensions.
+
+    From sum (y_i,y_j)^2 >= n^2/dim the diagonal and antipodal pairs each
+    contribute n, leaving n(n-2) ordered pairs to average at least
+    (n^2/dim - 2n)/(n(n-2)) = (n - 2 dim)/(dim (n-2)).  The record keeps that
+    average, clamped at zero, as its radicand; its value is the rational
+    square root, if any.
+    """
+    if n % 2 != 0:
+        raise ValueError("antipodal codes have an even number of points")
+    if n < 4:
+        raise ValueError("need at least two antipodal pairs")
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    return QuadraticBound(Fraction(max(0, n - 2 * dim), dim * (n - 2)))
+
+
+def format_bound(bound: QuadraticBound) -> str:
+    value = bound.value
+    return f"sqrt({bound.radicand})" if value is None else str(value)

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import os
 import re
 import subprocess
@@ -15,17 +16,31 @@ ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 PACKAGE = ROOT / "src" / "harmonic_codes"
 
 
-def _fresh_import(name):
-    """A fresh interpreter imports `name`: the modules then loaded, and the
-    module's __version__ (or None)."""
+def _fresh_import(name, *flags):
+    """A fresh interpreter, run with flags, imports `name`: the modules then
+    loaded, and the module's __version__ (or None)."""
     script = (
         f"import sys, importlib\nmodule = importlib.import_module({name!r})\n"
         "print(' '.join(sys.modules))\n"
         "print(getattr(module, '__version__', None))\n"
     )
-    run = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, *flags, "-c", script], env=ENV, capture_output=True, text=True,
+                         check=True)
     modules, version = run.stdout.splitlines()
     return set(modules.split()), version
+
+
+def _fresh_main(argv, stdin, *flags):
+    """A fresh interpreter, run with flags, runs cli.main(argv) on stdin: its exit
+    status, its stdout, and the modules it loaded (listed on stderr's last line)."""
+    script = (
+        "import sys\nfrom harmonic_codes.cli import main\n"
+        f"try:\n    status = main({argv!r})\nexcept SystemExit as exc:\n    status = exc.code\n"
+        "print(' '.join(sys.modules), file=sys.stderr)\nsys.exit(status)\n"
+    )
+    run = subprocess.run([sys.executable, *flags, "-c", script], input=stdin, env=ENV, capture_output=True,
+                         text=True)
+    return run.returncode, run.stdout, set(run.stderr.splitlines()[-1].split())
 
 
 def _submodules(modules):
@@ -51,7 +66,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_analyzer():
     # as typing, through a .pth file
     bare, _ = _fresh_import("sys")
     cli, _ = _fresh_import("harmonic_codes.cli")
-    assert "harmonic_codes.codes" in cli
+    assert _submodules(cli) == ["harmonic_codes.cli"]
     assert (cli - bare) & {"dataclasses", "inspect", "harmonic_codes.analyzer"} == set()
 
 
@@ -72,17 +87,73 @@ def test_cli_import_loads_no_json():
     ids=["scan", "certify"],
 )
 def test_json_writing_runs_load_no_json(argv, stdin, digest):
-    # a fresh interpreter runs the subcommand through cli.main, writes its
-    # pinned bytes, then lists its modules on stderr: json is not among them
-    script = (
-        "import sys\nfrom harmonic_codes.cli import main\n"
-        f"status = main({argv!r})\nprint(' '.join(sys.modules), file=sys.stderr)\nsys.exit(status)\n"
-    )
-    run = subprocess.run([sys.executable, "-c", script], input=stdin, env=ENV, capture_output=True, text=True,
-                         check=True)
-    assert hashlib.sha256(run.stdout.encode("utf-8")).hexdigest() == digest
+    # a fresh interpreter runs the subcommand through cli.main and writes its
+    # pinned bytes: json is not among the modules it loaded
+    status, out, modules = _fresh_main(argv, stdin)
+    assert status == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
     bare, _ = _fresh_import("sys")
-    assert _json_modules(set(run.stderr.split()) - bare) == set()
+    assert _json_modules(modules - bare) == set()
+
+
+_BUILT = ["cli", "embedding", "harmonics", "lattice"]
+
+# Each run's arguments, stdin, exit status and the package modules it loads:
+# a subcommand imports what it runs when it runs, and nothing else
+MODULE_SETS = [
+    ("--version", "", 0, ["cli"]),
+    ("build --in - --threads 3", "", 64, ["cli"]),
+    ("roots", "", 0, ["cli", "lattice"]),
+    ("dim -d 7 -k 2", "", 0, ["cli", "harmonics"]),
+    ("gegenbauer -d 7 -k 2 --at 1/2", "", 0, ["cli", "harmonics"]),
+    ("bound -n 240 --dim 35", "", 0, ["cli", "harmonics"]),
+    ("scan --in - -d 7 -k 1 --k-max 3 --n-points 240", "0\n1/2\n-1/2\n", 0, ["analyzer", "cli", "harmonics"]),
+    ("build --in -", "e8", 0, _BUILT),
+    ("export --exact --in -", "square", 0, _BUILT),
+    ("export --float --in -", "square", 0, _BUILT),
+    ("certify --in -", "e8", 0, ["cli", "codes", "embedding", "harmonics", "lattice"]),
+    ("design --in - --t-max 5", "e8", 0, ["cli", "codes", "embedding", "harmonics", "lattice"]),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, status, loaded", MODULE_SETS, ids=[row[0] for row in MODULE_SETS])
+def test_each_run_loads_only_the_modules_it_runs(argv, stdin, status, loaded):
+    code, _, modules = _fresh_main(argv.split(), INPUTS.get(stdin, stdin))
+    assert code == status
+    assert _submodules(modules) == [f"harmonic_codes.{name}" for name in loaded]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin", [(None, ""), (PINNED_SCAN, "0\n1/2\n-1/2\n"), (["certify", "--in", "-"], INPUTS["e8"])],
+    ids=["import", "scan", "certify"],
+)
+def test_cli_loads_no_typing_without_site(argv, stdin):
+    # -S keeps out what a .pth file loads at start-up: the stdlib modules the
+    # CLI needs load no typing on 3.10-3.13, so any typing here is the package's
+    if argv is None:
+        modules, _ = _fresh_import("harmonic_codes.cli", "-S")
+    else:
+        status, _, modules = _fresh_main(argv, stdin, "-S")
+        assert status == 0
+    assert "typing" not in modules
+
+
+@pytest.mark.parametrize(
+    "old, name, home",
+    [
+        ("codes", "QuadraticBound", "harmonics"),
+        ("codes", "quadratic_bound", "harmonics"),
+        ("codes", "format_bound", "harmonics"),
+        ("embedding", "parse_rational", "harmonics"),
+        # the attributes bench/run.py shims by name
+        ("codes", "gegenbauer", "harmonics"),
+        ("analyzer", "gegenbauer", "harmonics"),
+        ("embedding", "select_antipodal_representatives", "lattice"),
+    ],
+)
+def test_name_is_importable_from_its_old_module(old, name, home):
+    old_module = importlib.import_module(f"harmonic_codes.{old}")
+    assert getattr(old_module, name) is getattr(importlib.import_module(f"harmonic_codes.{home}"), name)
 
 
 def test_scan_runs_in_a_fresh_process():
