@@ -10,27 +10,10 @@ parsing the command line loads none of them and `roots`, for one, loads
 only the lattice module.
 """
 
-from __future__ import annotations
-
-import argparse
 import io
 import sys
 
 from . import __version__
-
-
-class _Parser(argparse.ArgumentParser):
-    def parse_known_args(self, args=None, namespace=None):
-        # the parser that leaves arguments over reports them, with its own usage
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error("unrecognized arguments: " + " ".join(extras))
-        return namespace, extras
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        sys.exit(64)
 
 
 def _read(path: str) -> str:
@@ -133,73 +116,94 @@ def cmd_export(args) -> tuple[int, str]:
     return 0, gram_to_text(code.gram) if args.exact else float_code_to_text(code)
 
 
-def _add_input_options(sub) -> None:
-    sub.add_argument("--in", dest="infile", required=True,
-                     help="lattice code file, or - for stdin")
+# One row per option: flag, dest, type (int, str, or bool for a flag that stores True), default,
+# required; --in and --out take a path, or - for stdin or stdout, and certify ignores --threads.
+# One row per subcommand: its function, its help line, its options, the flags it needs exactly one of.
+_IN, _OUT = ("--in", "infile", str, None, True), ("--out", "out", str, None, False)
+_D, _K, _T_MAX = ("-d", "d", int, None, True), ("-k", "k", int, None, True), ("--t-max", "t_max", int, 3, False)
+_N, _DIM, _AT = ("-n", "n", int, None, True), ("--dim", "dim", int, None, True), ("--at", "at", str, None, False)
+_K_MAX, _N_POINTS = ("--k-max", "k_max", int, None, False), ("--n-points", "n_points", int, None, False)
+_EXACT, _FLOAT = ("--exact", "exact", bool, False, False), ("--float", "float", bool, False, False)
+_THREADS = ("--threads", "threads", int, None, False)
+
+_COMMANDS = {
+    "roots": (cmd_roots, "generate the 240 scaled E8 roots", [_OUT], ()),
+    "dim": (cmd_dim, "dimension of the degree-k harmonic space on S^d", [_D, _K], ()),
+    "gegenbauer": (cmd_gegenbauer, "normalized Gegenbauer coefficients, or the value --at p/q", [_D, _K, _AT], ()),
+    "build": (cmd_build, "embed a code and summarize its gram", [_IN], ()),
+    "certify": (cmd_certify, "build and print the full certificate", [_IN, _T_MAX, _THREADS], ()),
+    "bound": (cmd_bound, "coherence lower bound for N antipodal points in dimension DIM", [_N, _DIM], ()),
+    "design": (cmd_design, "design strength of the embedded code, up to degree --t-max", [_IN, _T_MAX], ()),
+    "scan": (cmd_scan, "Gegenbauer image scan of a spectrum file", [_IN, _D, _K, _K_MAX, _N_POINTS, _OUT], ()),
+    "export": (cmd_export, "exact gram or float coordinates", [_IN, _EXACT, _FLOAT, _OUT], ("--exact", "--float")),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="harmonic-codes", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _exit(name, error=None):
+    """Exit 0 after the help of the root (name None) or a subcommand, or 64 after its usage and the error."""
+    if name is None:
+        usage = f"usage: harmonic-codes [-h] [--version] {{{','.join(_COMMANDS)}}} ..."
+        about = __doc__ + "\n" + "\n".join(f"  {command:12}{row[1]}" for command, row in _COMMANDS.items())
+    else:
+        _, about, options, one_of = _COMMANDS[name]
+        words = [f"{flag} {dest.upper()}" if required else f"[{flag} {dest.upper()}]"
+                 for flag, dest, _, _, required in options if flag not in one_of]
+        group = [f"({' | '.join(one_of)})"] if one_of else []
+        usage = " ".join([f"usage: harmonic-codes {name} [-h]", *words, *group])
+    if error is not None:
+        sys.stderr.write(f"{usage}\nharmonic-codes{'' if name is None else ' ' + name}: error: {error}\n")
+        sys.exit(64)
+    sys.stdout.write(f"{usage}\n\n{about}\n")
+    sys.exit(0)
 
-    p = sub.add_parser("roots", help="generate the 240 scaled E8 roots")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("dim", help="dimension of the degree-k harmonic space on S^d")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.set_defaults(func=cmd_dim)
+class _CommandLine:
+    def parse_args(self, argv=None):
+        """The subcommand's options as attributes by dest, and `func`, the subcommand: the first
+        argument with no leading dash.  An option is `FLAG VALUE` or `FLAG=VALUE`; its value is
+        the next argument unless that is one of the subcommand's flags, so `--at -1/2` reads -1/2."""
+        argv = sys.argv[1:] if argv is None else argv
+        at = next((i for i, token in enumerate(argv) if token[:1] != "-" or token == "-"), len(argv))
+        if {"-h", "--help"} & set(argv[:at]):
+            _exit(None)
+        if "--version" in argv[:at]:
+            sys.stdout.write(__version__ + "\n")
+            sys.exit(0)
+        if at == len(argv) or argv[at] not in _COMMANDS:
+            _exit(None, f"argument subcommand: invalid choice: {argv[at]!r}" if at < len(argv) else
+                  "the following arguments are required: subcommand")
+        name, given, extras, tokens = argv[at], {}, [], iter(argv[at + 1:])
+        func, _, options, one_of = _COMMANDS[name]
+        kinds = {flag: kind for flag, _, kind, _, _ in options}
+        for token in tokens:
+            if token in ("-h", "--help"):
+                _exit(name)
+            flag, eq, value = token.partition("=")
+            if (kind := kinds.get(flag)) is None or kind is bool and eq:
+                extras.append(token)
+                continue
+            if kind is not bool and not eq:
+                value = next(tokens, None)
+                if value is None or value in ("-h", "--help") or value.partition("=")[0] in kinds:
+                    _exit(name, f"argument {flag}: expected one argument")
+            if flag in one_of and (clash := [other for other in one_of if other in given and other != flag]):
+                _exit(name, f"argument {flag}: not allowed with argument {clash[0]}")
+            try:
+                given[flag] = True if kind is bool else kind(value)
+            except ValueError:
+                _exit(name, f"argument {flag}: invalid int value: {value!r}")
+        if missing := [flag for flag, _, _, _, required in options if required and flag not in given]:
+            _exit(name, "the following arguments are required: " + ", ".join(missing))
+        if one_of and not given.keys() & set(one_of):
+            _exit(name, "one of the arguments " + " ".join(one_of) + " is required")
+        if extras or argv[:at]:  # the subcommand's leftovers first, then the root's
+            _exit(name if extras else None, "unrecognized arguments: " + " ".join(extras or argv[:at]))
+        self.__dict__.update({dest: given.get(flag, default) for flag, dest, _, default, _ in options}, func=func)
+        return self
 
-    p = sub.add_parser("gegenbauer", help="normalized Gegenbauer coefficients or value")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--at", default=None, metavar="T",
-                   help="evaluate at rational T instead of printing coefficients")
-    p.set_defaults(func=cmd_gegenbauer)
 
-    p = sub.add_parser("build", help="embed a code and summarize its gram")
-    _add_input_options(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("certify", help="build and print the full certificate")
-    _add_input_options(p)
-    p.add_argument("--t-max", type=int, default=3)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility and ignored")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("bound", help="coherence lower bound for antipodal codes")
-    p.add_argument("-n", type=int, required=True, help="number of points")
-    p.add_argument("--dim", type=int, required=True)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("design", help="design strength of the embedded code")
-    _add_input_options(p)
-    p.add_argument("--t-max", type=int, default=3)
-    p.set_defaults(func=cmd_design)
-
-    p = sub.add_parser("scan", help="Gegenbauer image scan of a spectrum file")
-    p.add_argument("--in", dest="infile", required=True,
-                   help="spectrum file (one p/q per line), or - for stdin")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--n-points", type=int, default=None,
-                   help="also report candidate code parameters for this size")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("export", help="write the exact gram or float coordinates")
-    _add_input_options(p)
-    fmt = p.add_mutually_exclusive_group(required=True)
-    fmt.add_argument("--exact", action="store_true", help="exact rational gram")
-    fmt.add_argument("--float", action="store_true", help="flattened float coordinates")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_export)
-
-    return parser
+def build_parser() -> _CommandLine:
+    return _CommandLine()
 
 
 def main(argv=None) -> int:
@@ -215,7 +219,3 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"harmonic-codes: error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

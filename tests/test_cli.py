@@ -1,13 +1,18 @@
 import hashlib
 import io
 import json
+import os
 import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_codes import analyzer
 from harmonic_codes.cli import build_parser, main
@@ -295,6 +300,16 @@ ROWS = _readme_rows() + [
     Row("certify --in - --threads x", status=64, err="argument --threads: invalid int value: 'x'"),
     Row("export --in -", status=64, err="one of the arguments --exact --float is required"),
     Row("dim -d 7", status=64, err="the following arguments are required: -k"),
+    Row("dim", status=64, err="the following arguments are required: -d, -k"),
+    Row("dim -d 7 -k", status=64, err="argument -k: expected one argument"),
+    Row("export --in - --exact --float", status=64, err="argument --float: not allowed with argument --exact"),
+    # a value follows its flag, or its =
+    Row("dim -d=7 -k=2", out="35\n"),
+    # the next argument is the value unless it is one of the subcommand's flags:
+    # g2(-1/2) = (8/4 - 1)/7
+    Row("gegenbauer -d 7 -k 2 --at -1/2", out="1/7\n"),
+    # a flag is spelled in full: there are no prefix abbreviations
+    Row("scan --in - -d 7 -k 1 --k-m 3", status=64, err="unrecognized arguments: --k-m 3"),
     Row("--version", out="1.0.0\n"),
 ]
 
@@ -833,6 +848,111 @@ def test_unrecognized_arguments_name_their_parser(capsys, monkeypatch):
         usage, *_, message = captured.err.splitlines()
         assert usage.startswith(f"usage: {prog} [-h]"), argv
         assert message == f"{prog}: error: unrecognized arguments: {leftover}", argv
+
+
+# Each subcommand's flags, spelled out here rather than read from the parser
+FLAGS = {
+    "roots": ["--out"],
+    "dim": ["-d", "-k"],
+    "gegenbauer": ["-d", "-k", "--at"],
+    "build": ["--in"],
+    "certify": ["--in", "--t-max", "--threads"],
+    "bound": ["-n", "--dim"],
+    "design": ["--in", "--t-max"],
+    "scan": ["--in", "-d", "-k", "--k-max", "--n-points", "--out"],
+    "export": ["--in", "--exact", "--float", "--out"],
+}
+
+
+@pytest.mark.parametrize("subcommand", [None, *sorted(FLAGS)])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_zero(subcommand, flag, capsys):
+    argv = [flag] if subcommand is None else [subcommand, flag]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    # the usage runs to the first blank line
+    usage = out.split("\n\n", 1)[0]
+    if subcommand is None:
+        assert usage.startswith("usage: harmonic-codes [-h]")
+        assert all(re.search(rf"\b{name}\b", out) for name in FLAGS)
+    else:
+        assert usage.startswith(f"usage: harmonic-codes {subcommand} [-h]")
+        assert [f for f in FLAGS[subcommand] if not re.search(rf"(?<![-\w]){f}(?![-\w])", usage)] == []
+
+
+# A run of each subcommand, as its (flag, value) and (flag,) words
+_RUNS = {
+    "roots": [],
+    "dim": [("-d", "2"), ("-k", "3")],
+    "gegenbauer": [("-d", "2"), ("-k", "3"), ("--at", "-1/2")],
+    "build": [("--in", "-")],
+    "certify": [("--in", "-"), ("--t-max", "2")],
+    "bound": [("-n", "2"), ("--dim", "3")],
+    "design": [("--in", "-"), ("--t-max", "3")],
+    "scan": [("--in", "-"), ("-d", "2"), ("-k", "1"), ("--k-max", "3")],
+    "export": [("--in", "-"), ("--float",)],
+}
+_ALL_FLAGS = sorted({"-h", "--help", "--version", *(flag for flags in FLAGS.values() for flag in flags)})
+_VALUES = ["0", "1", "2", "3", "-1", "-", "-1/2", "1/2", "x", ""]
+_JUNK = ["--", "--bogus", "extra", "-d7", "--k-m", "frobnicate"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand (or a root flag, or junk), most of its run's words, and up to two more:
+    its flags or any other, bare or with a small value, or junk; in any order, and each
+    (flag, value) word as two arguments or one, FLAG=VALUE."""
+    head = draw(st.sampled_from([*FLAGS, *FLAGS, "-h", "--version", *_JUNK]))
+    flag, value = st.sampled_from(FLAGS.get(head, []) + _ALL_FLAGS), st.sampled_from(_VALUES)
+    extra = st.one_of(st.tuples(flag, value), st.tuples(flag), st.tuples(st.sampled_from(_VALUES + _JUNK)))
+    words = [word for word in _RUNS.get(head, []) if draw(st.integers(0, 3))]
+    argv = [head]
+    for word in draw(st.permutations(words + draw(st.lists(extra, max_size=2)))):
+        argv += ["=".join(word)] if len(word) == 2 and draw(st.booleans()) else word
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_command_lines(), stdin=st.sampled_from(["", SQUARE]))
+def test_fuzzed_command_lines_keep_the_exit_protocol(argv, stdin, fuzz_dir):
+    # every value is at most 3 and every code the square, or E8 read back from an
+    # --out file, so each run takes milliseconds; --out writes under a scratch
+    # directory; any exception but SystemExit, a traceback, fails the test
+    cwd, stdin_before = os.getcwd(), sys.stdin
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        os.chdir(fuzz_dir)
+        sys.stdin = io.StringIO(stdin)
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+    finally:
+        sys.stdin = stdin_before
+        os.chdir(cwd)
+    out, err = out.getvalue(), err.getvalue()
+    assert status in (0, 1, 2, 64)
+    if status == 64:
+        assert out == ""
+        assert err.endswith("\n") and err.startswith("usage: harmonic-codes")
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert re.match(r"harmonic-codes( [a-z]+)?: error: ", err.splitlines()[-1])
+    elif err:
+        # an error is one line and writes nothing to stdout
+        assert out == "" and status in (1, 2) and err.count("\n") == 1
+        assert err.startswith("harmonic-codes: error: " if status == 1 else "harmonic-codes: i/o error: ")
+    else:
+        # stdout, unless --out took it, carries the run's output; exit 1 is certify's verdict
+        assert status == 0 or (status == 1 and "certify" in argv)
 
 
 def test_repeated_runs_are_identical(roots_file, capsys):

@@ -138,6 +138,25 @@ def test_cli_loads_no_typing_without_site(argv, stdin):
     assert "typing" not in modules
 
 
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [(None, ""), (["roots"], ""), (PINNED_SCAN, "0\n1/2\n-1/2\n"), (["certify", "--in", "-"], INPUTS["e8"])],
+    ids=["import", "roots", "scan", "certify"],
+)
+def test_cli_loads_no_parser_stack(argv, stdin, flags):
+    # the command line is parsed without argparse, so neither gettext nor locale
+    # loads; without site, which may load shutil through a .pth file, nothing
+    # loads shutil, which argparse's help formatter needs
+    bare, _ = _fresh_import("sys", *flags)
+    if argv is None:
+        modules, _ = _fresh_import("harmonic_codes.cli", *flags)
+    else:
+        status, _, modules = _fresh_main(argv, stdin, *flags)
+        assert status == 0
+    assert (modules - bare) & {"argparse", "gettext", "locale", *(["shutil"] if flags else [])} == set()
+
+
 @pytest.mark.parametrize(
     "old, name, home",
     [
