@@ -27,7 +27,8 @@ from fractions import Fraction
 from io import TextIOBase
 
 # gegenbauer stays importable here: bench/run.py shims it by name.
-from .harmonics import format_bound, gegenbauer, gegenbauer_rows, harmonic_dimension, parse_rational, quadratic_bound
+from .harmonics import _token, format_bound, gegenbauer, gegenbauer_rows, harmonic_dimension
+from .harmonics import parse_rationals, quadratic_bound
 
 
 class ScanResult(namedtuple("ScanResult", "d k harmonic_dim values nums den")):
@@ -132,19 +133,7 @@ def candidate_parameters(
 
 def read_spectrum_file(f: TextIOBase) -> list[Fraction]:
     """One p/q token per line; blank lines ignored."""
-    out = []
-    for line in f.read().splitlines():
-        tok = line.strip()
-        if not tok:
-            continue
-        out.append(parse_rational(tok))
-    return out
-
-
-def _token(a: int, den: int) -> str:
-    """str(Fraction(a, den)) for den > 0, with no Fraction built."""
-    g = math.gcd(a, den)
-    return str(a // g) if g == den else f"{a // g}/{den // g}"
+    return parse_rationals(filter(None, map(str.strip, f.read().splitlines())))
 
 
 def scan_to_json(result: ScanResult) -> str:

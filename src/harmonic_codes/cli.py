@@ -61,12 +61,14 @@ def cmd_gegenbauer(args) -> tuple[int, str]:
 
 
 def cmd_build(args) -> tuple[int, str]:
+    from .harmonics import _token
+
     code = _built(args)
-    values = sorted(code.histogram.keys() | {1})
+    values = sorted(code.counts.keys() | {code.den})
     return 0, (
         f"n_points {len(code)}\n"
         f"ambient_harmonic_dim {code.ambient_harmonic_dim}\n"
-        f"gram_values {' '.join(map(str, values))}\n"
+        f"gram_values {' '.join([_token(a, code.den) for a in values])}\n"
     )
 
 
@@ -85,11 +87,13 @@ def cmd_bound(args) -> tuple[int, str]:
 
 def cmd_design(args) -> tuple[int, str]:
     from .codes import design_strength
+    from .harmonics import _token
 
     code = _built(args)
     check = design_strength(code, code.ambient_harmonic_dim - 1, args.t_max)
     lines = [f"design_strength {check.strength}\n"]
-    lines += [f"residual k={k} {r}\n" for k, r in enumerate(check.residuals, start=1)]
+    residuals = enumerate(zip(check.nums, check.dens), start=1)
+    lines += [f"residual k={k} {_token(a, den)}\n" for k, (a, den) in residuals]
     return 0, "".join(lines)
 
 

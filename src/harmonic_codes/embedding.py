@@ -6,8 +6,10 @@ coordinates.  Flattened over one common denominator they are integer
 vectors whose normalized dot products are the degree-2 Gegenbauer value
 g2 of the source inner product, so the E8 image is an antipodal code with
 all non-antipodal inner products 1/7 in absolute value.  A built code takes
-its Gram values from integer dot products: the histogram from the lattice
-spectrum, the exact Gram from each column-packed dot row of
+its Gram values from integer dot products s through the closed form
+g2(s/n) = (m s^2 - n^2)/((m - 1) n^2): the histogram as numerators over that
+one denominator, from the lattice's scaled spectrum, with no Fraction built;
+the exact Gram from each column-packed dot row of
 lattice.dot_fields (a point's dots with every point, one field each) through
 one shared Fraction per distinct dot, each formatted once by the exact writer,
 which joins each top half-row once, straight from its entries' id lookups in a
@@ -29,16 +31,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .harmonics import gegenbauer_values, harmonic_dimension, parse_rational
-from .lattice import LatticeCode, _integers, dot_fields, select_antipodal_representatives, spectrum
+from .harmonics import harmonic_dimension, parse_rational, parse_rationals
+from .lattice import LatticeCode, _integers, dot_fields, scaled_spectrum, select_antipodal_representatives
 
 
 # A matrix as its tuple of Fraction rows: the exact Gram and the degree-2 images.
-Rows = tuple[tuple[Fraction, ...], ...]
+Rows = tuple[tuple["Fraction", ...], ...]
 
 
 class EmbeddedCode:
@@ -47,7 +48,7 @@ class EmbeddedCode:
     Point i < N is the image of reps.points[i] and point i + N is its sign
     flip, so the 2N x 2N Gram is [[B, -B], [-B, B]] with B[i][j] the kernel
     value g2 of the i-th and j-th representatives' inner product.  Certificates
-    read only n and histogram; the exact gram is built on first access.
+    read only n, den and counts; the exact gram is built on first access.
     """
 
     def __init__(self, reps: LatticeCode) -> None:
@@ -64,37 +65,48 @@ class EmbeddedCode:
     def ambient_harmonic_dim(self) -> int:
         return harmonic_dimension(self.reps.ambient_dim - 1, 2)
 
-    def kernel(self, t: Fraction) -> Fraction:
-        """g2(t) = (m t^2 - 1)/(m - 1), the Gram value of inner product t."""
-        (value,) = gegenbauer_values(self.reps.ambient_dim - 1, t, [2])
-        return value
+    @property
+    def den(self) -> int:
+        """The Gram values' one denominator (m - 1) n^2: g2(s/n) = (m s^2 - n^2)/den at scaled dot s."""
+        return (self.reps.ambient_dim - 1) * self.reps.norm_sq_scaled ** 2
+
+    def g2_numerator(self, s: int) -> int:
+        """g2's numerator over den at scaled dot s."""
+        return self.reps.ambient_dim * s * s - self.reps.norm_sq_scaled ** 2
 
     @cached_property
-    def histogram(self) -> Counter:
-        """Gram value counts over ordered pairs of distinct points: the Gram spectrum.
+    def counts(self) -> Counter:
+        """Gram value numerators over den, counted over ordered pairs of distinct points: the Gram spectrum.
 
-        The antipodal pairs give n entries -1; each ordered representative
-        pair at inner product t (spectrum counts ordered pairs) appears twice
-        as +g2(t) and twice as -g2(t).
+        The antipodal pairs give n entries -1, stored as -den; each ordered
+        representative pair at scaled dot s (scaled_spectrum counts ordered
+        pairs) appears twice as +g2 and twice as -g2.
         """
-        counts = Counter({Fraction(-1): self.n})
-        for t, c in spectrum(self.reps).items():
-            v = self.kernel(t)
-            counts[v] += 2 * c
-            counts[-v] += 2 * c
+        counts = Counter({-self.den: self.n})
+        for s, c in scaled_spectrum(self.reps).items():
+            a = self.g2_numerator(s)
+            counts[a] += 2 * c
+            counts[-a] += 2 * c
         return counts
+
+    @property
+    def histogram(self) -> Counter:
+        """The counts keyed by Fraction Gram value."""
+        from fractions import Fraction  # built only when read
+        return Counter({Fraction(a, self.den): c for a, c in self.counts.items()})
 
     @cached_property
     def gram(self) -> Rows:
-        """The exact 2N x 2N Gram: each row of packed dot fields through two kernel tables.
+        """The exact 2N x 2N Gram: each row of packed dot fields through two g2 tables.
 
         The tables map each distinct field key to one shared Fraction, +g2 and
         -g2 of its dot; each half-row is built once and serves the top row
         [B, -B] and the bottom row [-B, B].
         """
+        from fractions import Fraction  # export --exact writes one per distinct dot
         dot, rows = dot_fields(self.reps)
-        rows, norm = list(rows), self.reps.norm_sq_scaled
-        plus = {key: self.kernel(Fraction(dot(key), norm)) for key in set().union(*rows)}
+        rows = list(rows)
+        plus = {key: Fraction(self.g2_numerator(dot(key)), self.den) for key in set().union(*rows)}
         minus = {key: -v for key, v in plus.items()}
         top, bottom = [], []
         for row in rows:
@@ -113,6 +125,7 @@ def embed_degree2(code: LatticeCode, index: int) -> Rows:
         raise ValueError("ambient dimension must be at least 2")
     if not 0 <= index < len(code):
         raise IndexError(f"point index {index} out of range")
+    from fractions import Fraction  # the tests' witness; no subcommand builds it
     p = code.points[index]
     n = code.norm_sq_scaled
     m = code.ambient_dim
@@ -249,9 +262,8 @@ def gram_from_text(text: str) -> Rows:
     for line in lines[1:]:
         tokens = line.split()
         try:
-            for tok in dict.fromkeys(tokens):
-                if tok not in parsed:
-                    parsed[tok] = parse_rational(tok)
+            new = [tok for tok in dict.fromkeys(tokens) if tok not in parsed]
+            parsed.update(zip(new, parse_rationals(new)))
         except ValueError as exc:
             raise ValueError("bad rational token in gram row") from exc
         row = tuple(map(parsed.__getitem__, tokens))

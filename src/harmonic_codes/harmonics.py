@@ -12,11 +12,13 @@ it returns, and gegenbauer_rows runs it at many rational points over one
 common denominator, one list of numerators per degree, with no coefficients;
 gegenbauer_values is its one-point case.
 
-The p/q token parser and the quadratic lower bound on antipodal-code
-coherence live here too, beside the dimensions they are read with: this
-module imports nothing from the package, so `scan` and `bound` load no
-embedding or certificate code.  codes and embedding import them back under
-their old names.
+The p/q token parser, the quadratic lower bound on antipodal-code
+coherence and the a/den token writer live here too, beside the dimensions
+they are read with: this module imports nothing from the package, so `scan`
+and `bound` load no embedding or certificate code.  codes and embedding
+import them back under their old names.  Only what builds a Fraction imports
+fractions, when it runs: a run that writes its numbers as _token text never
+loads it.
 """
 
 from __future__ import annotations
@@ -24,23 +26,37 @@ from __future__ import annotations
 import math
 from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 
 
-def parse_rational(token: str) -> Fraction:
-    """A p/q (or plain decimal) token as a Fraction; malformed tokens are a ValueError.
+def parse_rationals(tokens: Iterable[str]) -> list[Fraction]:
+    """Each p/q (or plain decimal) token as a Fraction; the first malformed one is a ValueError.
 
     Exponent notation is rejected: 1e29999999 would expand to a huge integer.
     So are non-ASCII digits and `_` separators, which Fraction() would read.
     """
-    if not token.isascii() or "_" in token:
-        raise ValueError(f"bad rational token {token!r}")
-    if "e" in token or "E" in token:
-        raise ValueError(f"exponent notation is not accepted: {token!r}")
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational token {token!r}") from exc
+    from fractions import Fraction  # once per batch, not per token
+    out = []
+    for token in tokens:
+        if not token.isascii() or "_" in token:
+            raise ValueError(f"bad rational token {token!r}")
+        if "e" in token or "E" in token:
+            raise ValueError(f"exponent notation is not accepted: {token!r}")
+        try:
+            out.append(Fraction(token))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad rational token {token!r}") from exc
+    return out
+
+
+def parse_rational(token: str) -> Fraction:
+    """One token through parse_rationals."""
+    return parse_rationals([token])[0]
+
+
+def _token(a: int, den: int) -> str:
+    """str(Fraction(a, den)) for den > 0, with no Fraction built."""
+    g = math.gcd(a, den)
+    return str(a // g) if g == den else f"{a // g}/{den // g}"
 
 
 def harmonic_dimension(d: int, k: int) -> int:
@@ -79,6 +95,7 @@ class GegenbauerPoly:
 
     def evaluate(self, t: int | Fraction) -> Fraction:
         """Exact Horner evaluation."""
+        from fractions import Fraction  # the tests' witness; no subcommand evaluates
         t = Fraction(t)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -115,6 +132,7 @@ def _family_coefficients(d: int, k_max: int) -> Iterator[tuple[list[int], int]]:
 
 def gegenbauer(d: int, k: int) -> GegenbauerPoly:
     """Normalized degree-k Gegenbauer polynomial for S^d; of its family only this member is checked."""
+    from fractions import Fraction  # the one member's coefficients
     ((row, den),) = deque(_family_coefficients(d, k), maxlen=1)
     return GegenbauerPoly(coeffs=tuple(Fraction(c, den) for c in row))
 
@@ -149,23 +167,34 @@ def gegenbauer_rows(
 
 def gegenbauer_values(d: int, t: int | Fraction, degrees: Iterable[int]) -> list[Fraction]:
     """P_k(t) for S^d at each k in degrees: gegenbauer_rows at the one point t = p/q."""
+    from fractions import Fraction  # one per degree asked for
     p, q = t.as_integer_ratio()
     return [Fraction(row[0], den) for row, den in gegenbauer_rows(d, [p], q, degrees)]
 
 
-class QuadraticBound(namedtuple("QuadraticBound", "radicand")):
-    """Lower bound a_min on antipodal-code coherence, kept exact as a_min^2 = radicand >= 0 (a Fraction)."""
+class QuadraticBound(namedtuple("QuadraticBound", "num den")):
+    """Lower bound a_min on antipodal-code coherence, kept exact as a_min^2 = num/den >= 0, den > 0."""
 
     __slots__ = ()
 
     @property
+    def radicand(self) -> Fraction:
+        """a_min^2 as a Fraction."""
+        from fractions import Fraction  # built only when read
+        return Fraction(self.num, self.den)
+
+    @property
+    def root(self) -> tuple[int, int] | None:
+        """The radicand's rational square root in lowest terms as (p, q), or None when it is irrational."""
+        g = math.gcd(self.num, self.den)
+        p, q = math.isqrt(self.num // g), math.isqrt(self.den // g)
+        return (p, q) if p * p * g == self.num and q * q * g == self.den else None
+
+    @property
     def value(self) -> Fraction | None:
         """The rational square root of the radicand, or None when the bound is irrational."""
-        q = self.radicand
-        rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-        if rn * rn != q.numerator or rd * rd != q.denominator:
-            return None
-        return Fraction(rn, rd)
+        from fractions import Fraction  # built only when read
+        return None if (root := self.root) is None else Fraction(*root)
 
 
 def quadratic_bound(n: int, dim: int) -> QuadraticBound:
@@ -174,8 +203,8 @@ def quadratic_bound(n: int, dim: int) -> QuadraticBound:
     From sum (y_i,y_j)^2 >= n^2/dim the diagonal and antipodal pairs each
     contribute n, leaving n(n-2) ordered pairs to average at least
     (n^2/dim - 2n)/(n(n-2)) = (n - 2 dim)/(dim (n-2)).  The record keeps that
-    average, clamped at zero, as its radicand; its value is the rational
-    square root, if any.
+    average, clamped at zero, as its radicand num/den; its value is the
+    rational square root, if any.
     """
     if n % 2 != 0:
         raise ValueError("antipodal codes have an even number of points")
@@ -183,9 +212,9 @@ def quadratic_bound(n: int, dim: int) -> QuadraticBound:
         raise ValueError("need at least two antipodal pairs")
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return QuadraticBound(Fraction(max(0, n - 2 * dim), dim * (n - 2)))
+    return QuadraticBound(max(0, n - 2 * dim), dim * (n - 2))
 
 
 def format_bound(bound: QuadraticBound) -> str:
-    value = bound.value
-    return f"sqrt({bound.radicand})" if value is None else str(value)
+    root = bound.root
+    return f"sqrt({_token(bound.num, bound.den)})" if root is None else _token(*root)

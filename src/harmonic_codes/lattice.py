@@ -1,10 +1,11 @@
 """E8 root generation and inner-product spectra of equinorm integer codes.
 
 Points are stored as integer coordinate vectors at a declared scale, so
-that every normalized inner product (p.q)/norm_sq_scaled is an exact
-Fraction.  The 240 E8 roots are generated in the even coordinate system
-(lattice norm^2 = 2) and multiplied by 2 so the half-integer shape
-becomes integral: stored norms are all 8.
+that every normalized inner product is the exact ratio (p.q)/norm_sq_scaled
+of two integers, and a spectrum is kept as its scaled dots p.q.  The 240 E8
+roots are generated in the even coordinate system (lattice norm^2 = 2) and
+multiplied by 2 so the half-integer shape becomes integral: stored norms are
+all 8.
 
 Every code is checked once, on the way in, by three whole-code passes at C
 speed (dimensions, norms, distinctness); a per-point walk runs only when one
@@ -16,23 +17,19 @@ A code's dot products come from column packing (dot_fields): each
 coordinate is packed once, from biased fields, into one big integer, and a
 point's row is a few small multiples of those columns, whose byte fields
 hold its dots with every point, as wide as the Cauchy-Schwarz bound on the
-gcd-reduced norm needs, read by one decoder.  The spectrum tallies each
-row's later points, and the exact Gram of a built code maps each row through
-its kernel values; the double loop over scaled dot products is the tests'
-witness for every row.
+gcd-reduced norm needs, read by one decoder.  The scaled spectrum tallies
+each row's later points, and the exact Gram of a built code maps each row
+through its g2 values; the double loop over scaled dot products is the
+tests' witness for every row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
-from fractions import Fraction
 from itertools import chain, combinations, compress, product, repeat
 from math import gcd
 from operator import gt, mul, neg
-
-# Normalized inner-product value -> count over ordered distinct pairs.
-Spectrum = dict[Fraction, int]
 
 
 def scaled_dot(p: tuple[int, ...], q: tuple[int, ...]) -> int:
@@ -87,6 +84,7 @@ class LatticeCode:
 
     def normalized_inner(self, i: int, j: int) -> Fraction:
         """Inner product of true points i and j, exact."""
+        from fractions import Fraction  # the tests' witness; no subcommand reads it
         return Fraction(
             scaled_dot(self.points[i], self.points[j]), self.norm_sq_scaled
         )
@@ -182,11 +180,12 @@ def dot_fields(code: LatticeCode) -> tuple[Callable[..., int], Iterator[Sequence
     return dot, map(Struct(f"{width}s" * len(pts)).unpack, rows())
 
 
-def spectrum(code: LatticeCode) -> Spectrum:
-    """Normalized inner-product counts over ordered distinct pairs.
+def scaled_spectrum(code: LatticeCode) -> dict[int, int]:
+    """Scaled dot p.q -> count over ordered distinct pairs, in ascending order of the dot.
 
-    Row i of dot_fields holds point i's dots with every point; its slice past
-    i holds the later points', and those keys are tallied at C speed.
+    The normalized spectrum is each dot over norm_sq_scaled.  Row i of
+    dot_fields holds point i's dots with every point; its slice past i holds
+    the later points', and those keys are tallied at C speed.
     """
     if len(code) == 0:
         raise ValueError("empty code has no spectrum")
@@ -205,8 +204,7 @@ def spectrum(code: LatticeCode) -> Spectrum:
     else:
         tally = Counter(chain.from_iterable(later))
     # (p,q) and (q,p) carry the same value, so ordered counts are doubled.
-    counts = sorted((dot(key), c) for key, c in tally.items())
-    return {Fraction(s, code.norm_sq_scaled): 2 * c for s, c in counts}
+    return {s: 2 * c for s, c in sorted((dot(key), c) for key, c in tally.items())}
 
 
 # --- line-oriented code file format ----------------------------------------

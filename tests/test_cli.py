@@ -97,7 +97,12 @@ INPUTS = {
     "cross-polytope": CROSS_POLYTOPE,
     "square": SQUARE,
     "two-point": TWO_POINT,
+    # one point whose coordinate has 4,301 digits, one more than int() converts where digits are limited
+    "4301-digits": "1 1 1 1\n" + "1" * 4301 + "\n",
 }
+# int() raises on more digits than sys.get_int_max_str_digits() (3.10.7 on, 4,300 by
+# default; PYTHONINTMAXSTRDIGITS=0 lifts the limit)
+DIGIT_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4301
 SUBCOMMANDS = {"roots", "dim", "gegenbauer", "build", "certify", "bound", "design", "scan", "export"}
 
 # sha256 of stdout for a k = 1..12 scan of the E8 spectrum with candidates, and
@@ -281,6 +286,9 @@ ROWS = _readme_rows() + [
     Row("build --in -", "8 2 2 8\n1 1 1 1 1 1 1 1\n", 1, err="expected 2 points, found 1"),
     # int() would read 0_1 and +1 as 1
     Row("certify --in -", "2 2 1 1\n0_1 0\n0 +1\n", 1, err="non-integer coordinate"),
+    # the reader names a token int() refuses; with no digit limit the run reaches the norm check
+    Row("certify --in -", "4301-digits", 1, err="non-integer coordinate" if DIGIT_LIMITED
+        else f"point ({'1' * 4301},) is not of the declared norm"),
     Row("scan --in - -d 7 -k 2", "0\n1e5\n", 1, err="exponent notation is not accepted: '1e5'"),
     # rejected before Fraction would expand it to a thirty-million-digit integer
     Row("scan --in - -d 7 -k 2", "0\n1e29999999\n", 1, err="exponent notation is not accepted: '1e29999999'"),

@@ -34,8 +34,8 @@ from harmonic_codes.embedding import (
     float_code_to_text,
 )
 from harmonic_codes.harmonics import gegenbauer
-from harmonic_codes.lattice import LatticeCode, generate_e8_roots, select_antipodal_representatives, spectrum
-from test_embedding import _dn_roots
+from harmonic_codes.lattice import LatticeCode, generate_e8_roots, select_antipodal_representatives
+from test_embedding import _dn_roots, spectrum
 from test_lattice import _cross_polytope
 
 
@@ -184,7 +184,7 @@ def test_frame_bound_e8_tight(e8_gram):
 
 def test_frame_bound_single_vector():
     check = frame_bound_check(GramView(entries=((Fraction(1),),)), 1)
-    assert check == (1, 1)
+    assert (check.frame_sum, check.frame_bound) == (1, 1)
     assert check.satisfied
 
 
@@ -223,7 +223,7 @@ def test_frame_bound_soundness_random_unit_vectors():
 
 def test_quadratic_bound_e8_parameters():
     bound = quadratic_bound(240, 35)
-    assert bound == QuadraticBound(radicand=Fraction(1, 49))
+    assert bound.radicand == Fraction(1, 49)
     assert bound.value == Fraction(1, 7)
 
 
@@ -242,7 +242,7 @@ def test_quadratic_bound_clamps_at_zero():
 
 def test_quadratic_bound_irrational():
     bound = quadratic_bound(98, 24)
-    assert bound == QuadraticBound(radicand=Fraction(25, 1152))
+    assert bound.radicand == Fraction(25, 1152)
     assert bound.value is None
 
 
@@ -345,9 +345,9 @@ def test_certify_e8(e8_report):
         Fraction(-1, 7): 28560,
         Fraction(1, 7): 28560,
     }
-    assert e8_report.bound == QuadraticBound(radicand=Fraction(1, 49))
+    assert e8_report.bound.radicand == Fraction(1, 49)
     assert e8_report.bound.value == Fraction(1, 7)
-    assert e8_report.frame == FrameCheck(Fraction(11520, 7), Fraction(11520, 7))
+    assert (e8_report.frame.frame_sum, e8_report.frame.frame_bound) == (Fraction(11520, 7), Fraction(11520, 7))
     assert e8_report.frame.satisfied
     assert e8_report.design.strength == 3
     assert e8_report.optimal_antipodal
@@ -398,11 +398,11 @@ def test_certify_non_optimal_code():
 
 
 def test_format_helpers():
-    assert format_bound(QuadraticBound(Fraction(1, 49))) == "1/7"
-    assert format_bound(QuadraticBound(Fraction(25, 1152))) == "sqrt(25/1152)"
+    assert format_bound(QuadraticBound(1, 49)) == "1/7"
+    assert format_bound(QuadraticBound(25, 1152)) == "sqrt(25/1152)"
     # square denominator, non-square numerator: still irrational
-    assert format_bound(QuadraticBound(Fraction(2, 9))) == "sqrt(2/9)"
-    assert format_bound(QuadraticBound(Fraction(0))) == "0"
+    assert format_bound(QuadraticBound(2, 9)) == "sqrt(2/9)"
+    assert format_bound(QuadraticBound(0, 1)) == "0"
     assert format_bound(quadratic_bound(98, 24)) == "sqrt(25/1152)"
 
 
@@ -437,11 +437,12 @@ def test_report_json_irrational_bound():
     report = CodeReport(
         ambient_dim=24,
         n_points=98,
-        coherence_a=Fraction(1, 4),
-        spectrum={Fraction(1, 4): 2},
-        bound=QuadraticBound(radicand=Fraction(25, 1152)),
-        frame=FrameCheck(Fraction(400), Fraction(400)),
-        design=DesignCheck(residuals=(Fraction(0), Fraction(1))),
+        den=4,
+        coherence=1,
+        counts={1: 2},
+        bound=QuadraticBound(num=25, den=1152),
+        frame=FrameCheck(frame_num=400, bound_num=400, den=1),
+        design=DesignCheck(nums=(0, 1), dens=(1, 1)),
     )
     assert report.design.strength == 1
     assert not report.optimal_antipodal
@@ -582,15 +583,12 @@ def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
     frame = frame_bound_check(g, dim)
     coherence = max_coherence(g)
     report = certify(code, t_max=t_max)
-    assert report == CodeReport(
-        ambient_dim=dim,
-        n_points=g.n,
-        coherence_a=coherence,
-        spectrum=gram_spectrum(g),
-        bound=bound,
-        frame=frame,
-        design=design_strength(g, dim - 1, t_max),
-    )
+    assert (report.ambient_dim, report.n_points) == (dim, g.n)
+    assert report.coherence_a == coherence
+    assert report.spectrum == gram_spectrum(g)
+    assert report.bound == bound
+    assert (report.frame.frame_sum, report.frame.frame_bound) == (frame.frame_sum, frame.frame_bound)
+    assert report.design.residuals == design_strength(g, dim - 1, t_max).residuals
     # the verdict against the explicit-Gram witness, spelled out
     optimal = coherence * coherence == bound.radicand
     assert report.optimal_antipodal is optimal
@@ -616,3 +614,81 @@ def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
         for j in range(i):
             assert abs(sum(x * y for x, y in zip(row, rows[j])) - float(gram[i][j])) <= 1e-12
     assert rows[half:] == [[-x for x in row] for row in rows[:half]]
+
+
+# --- integer certificate against a Fraction witness -------------------------
+
+
+@st.composite
+def antipodal_integer_codes(draw):
+    """Some of the integer vectors of one norm in dims 2-5, coordinates in -2..2,
+    each with its antipode: mostly short of the bound, often with orthogonal
+    pairs, whose g2 numerator -n^2 shares n^2 with den = (m - 1) n^2."""
+    m = draw(st.integers(2, 5))
+    norm = draw(st.integers(1, 2)) ** 2 + sum(c * c for c in draw(st.lists(st.integers(-2, 2), max_size=m - 1)))
+    shell = [p for p in product(range(-2, 3), repeat=m)
+             if sum(c * c for c in p) == norm and p > tuple(-c for c in p)]
+    reps = draw(st.lists(st.sampled_from(shell), min_size=min(2, len(shell)), max_size=16, unique=True))
+    assume(len(reps) >= 2)
+    return LatticeCode(m, 1, norm, tuple(reps) + tuple(tuple(-c for c in p) for p in reps))
+
+
+def _fraction_certificate(g, dim, t_max):
+    """Coherence, sorted spectrum, radicand, frame sum and bound, and residuals,
+    in Fraction arithmetic over a Gram view's histogram."""
+    hist = g.histogram
+    polys = [gegenbauer(dim - 1, k) for k in range(1, t_max + 1)]
+    return (
+        max(abs(v) for v in hist if v != -1),
+        {v: hist[v] for v in sorted(hist)},
+        Fraction(max(0, g.n - 2 * dim), dim * (g.n - 2)),
+        g.n + sum(v * v * c for v, c in hist.items()),
+        Fraction(g.n * g.n, dim),
+        tuple(g.n + sum(c * p.evaluate(v) for v, c in hist.items()) for p in polys),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots=antipodal_integer_codes(), t_max=st.integers(1, 4))
+# optimal, its g2 numerators +-64 sharing 64 with den 448
+@example(roots=generate_e8_roots(), t_max=3)
+# short of the irrational bound sqrt(7/2151)
+@example(roots=_dn_roots(16), t_max=3)
+def test_integer_certificate_matches_fraction_witness(roots, t_max):
+    # the explicit Gram is the one test_built_code_matches_explicit_frobenius_gram
+    # pins to the Frobenius witness; two representatives always leave an admissible pair
+    code = build_code(roots)
+    g = GramView(entries=code.gram)
+    dim = code.ambient_harmonic_dim
+    coherence, spectrum_, radicand, frame_sum, frame_bound, residuals = _fraction_certificate(g, dim, t_max)
+    # the integer folds over the Gram view's lcm numerators
+    frame = frame_bound_check(g, dim)
+    assert max_coherence(g) == coherence
+    assert gram_spectrum(g) == spectrum_
+    assert (frame.frame_sum, frame.frame_bound) == (frame_sum, frame_bound)
+    assert frame.satisfied is (frame_sum >= frame_bound)
+    assert design_strength(g, dim - 1, t_max).residuals == residuals
+    # and over the built code's numerators over (m - 1) n^2, with its verdicts
+    report = certify(code, t_max=t_max)
+    optimal = coherence * coherence == radicand
+    assert report.coherence_a == coherence
+    assert list(report.spectrum.items()) == list(spectrum_.items())
+    assert report.bound.radicand == radicand
+    assert (report.frame.frame_sum, report.frame.frame_bound) == (frame_sum, frame_bound)
+    assert report.design.residuals == residuals
+    assert report.optimal_antipodal is optimal
+    assert report.passed is (optimal and frame_sum >= frame_bound)
+    # the JSON against json.dumps of the witness
+    p, q = math.isqrt(radicand.numerator), math.isqrt(radicand.denominator)
+    rational = p * p == radicand.numerator and q * q == radicand.denominator
+    assert report_to_json(report) == json.dumps({
+        "ambient_dim": dim,
+        "n_points": g.n,
+        "coherence": str(coherence),
+        "spectrum": {str(v): count for v, count in spectrum_.items()},
+        "bound": str(Fraction(p, q)) if rational else f"sqrt({radicand})",
+        "frame_sum": str(frame_sum),
+        "frame_bound": str(frame_bound),
+        "design_strength": next((k for k, r in enumerate(residuals) if r), t_max),
+        "optimal_antipodal": optimal,
+    }, indent=2) + "\n"

@@ -24,7 +24,14 @@ from harmonic_codes.embedding import (
     parse_rational,
 )
 from harmonic_codes.harmonics import gegenbauer
-from harmonic_codes.lattice import LatticeCode, code_from_text, code_to_text, dot_fields, generate_e8_roots, spectrum
+from harmonic_codes.lattice import (
+    LatticeCode,
+    code_from_text,
+    code_to_text,
+    dot_fields,
+    generate_e8_roots,
+    scaled_spectrum,
+)
 
 # split of the 57120 non-antipodal gram entries, frozen from the exact scan
 POSITIVE_SEVENTH_COUNT = 28560
@@ -33,6 +40,11 @@ NEGATIVE_SEVENTH_COUNT = 28560
 # sha256 of the E8 exports: any change to their bytes, float rounding included, fails
 FLOAT_EXPORT_SHA256 = "17146d12388234c5fec02a6790f208284e92caf684b740a1d64724964b212acb"
 EXACT_GRAM_SHA256 = "48165c816858619c30f6e65dfd8ee7fe4ef759cc4df436a807cd8724036f54e7"
+
+
+def spectrum(code):
+    """The normalized inner-product spectrum: each scaled dot over the norm, as a Fraction."""
+    return {Fraction(s, code.norm_sq_scaled): c for s, c in scaled_spectrum(code).items()}
 
 
 def _sha256(text):

@@ -15,9 +15,9 @@ from harmonic_codes.lattice import (
     dot_fields,
     scaled_dot,
     select_antipodal_representatives,
-    spectrum,
 )
 from test_embedding import _signed_permutations as _every_signed_permutation
+from test_embedding import spectrum
 
 
 def test_root_count_and_header_fields(e8_roots):

@@ -9,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import E8_CERTIFY_SHA256, INPUTS, PINNED_SCAN, PINNED_SCAN_SHA256
+from test_cli import (
+    D16_CERTIFY_SHA256,
+    E8_CERTIFY_SHA256,
+    E8_DESIGN_T12_SHA256,
+    E8_ROOTS_SHA256,
+    INPUTS,
+    PINNED_SCAN,
+    PINNED_SCAN_SHA256,
+)
+from test_embedding import EXACT_GRAM_SHA256, FLOAT_EXPORT_SHA256
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -155,6 +164,55 @@ def test_cli_loads_no_parser_stack(argv, stdin, flags):
         status, _, modules = _fresh_main(argv, stdin, *flags)
         assert status == 0
     assert (modules - bare) & {"argparse", "gettext", "locale", *(["shutil"] if flags else [])} == set()
+
+
+_FRACTIONS = {"fractions", "decimal", "_decimal", "numbers"}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# Each run's arguments, stdin, exit status and stdout digest: what it prints is
+# integers over one denominator, written as text, so it builds no Fraction
+WRITES_NO_FRACTION = [
+    ("roots", "", 0, E8_ROOTS_SHA256),
+    ("certify --in -", "e8", 0, E8_CERTIFY_SHA256),
+    ("certify --in -", "d16", 1, D16_CERTIFY_SHA256),
+    ("build --in -", "e8", 0, _sha256("n_points 240\nambient_harmonic_dim 35\ngram_values -1 -1/7 1/7 1\n")),
+    ("design --in - --t-max 12", "e8", 0, E8_DESIGN_T12_SHA256),
+    ("bound -n 240 --dim 35", "", 0, _sha256("1/7\n")),
+    ("export --float --in -", "e8", 0, FLOAT_EXPORT_SHA256),
+]
+# and the runs that still build Fractions: scan reads its values as Fractions,
+# gegenbauer prints a polynomial's coefficients, and export --exact writes the
+# Gram's entries (ROADMAP item 12)
+BUILDS_FRACTIONS = [
+    (" ".join(PINNED_SCAN), "0\n1/2\n-1/2\n", 0, PINNED_SCAN_SHA256),
+    ("gegenbauer -d 7 -k 2", "", 0, _sha256("-1/7 0 8/7\n")),
+    ("export --exact --in -", "e8", 0, EXACT_GRAM_SHA256),
+]
+FRACTION_RUNS = [(*row, False) for row in WRITES_NO_FRACTION] + [(*row, True) for row in BUILDS_FRACTIONS]
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+@pytest.mark.parametrize(
+    "argv, stdin, status, digest, loads",
+    FRACTION_RUNS,
+    ids=[f"{argv} < {stdin}" if stdin in INPUTS else argv for argv, stdin, *_ in FRACTION_RUNS],
+)
+def test_only_runs_that_build_fractions_load_fractions(argv, stdin, status, digest, loads, flags):
+    # a fresh interpreter runs the subcommand through cli.main and prints its
+    # pinned bytes; fractions, and the decimal and numbers it loads, come in
+    # only with a Fraction that is built, and with no fractions nothing loads re
+    bare, _ = _fresh_import("sys", *flags)
+    code, out, modules = _fresh_main(argv.split(), INPUTS.get(stdin, stdin), *flags)
+    assert code == status
+    assert _sha256(out) == digest
+    if loads:
+        assert _FRACTIONS <= modules - bare
+    else:
+        assert (modules - bare) & {*_FRACTIONS, "re"} == set()
 
 
 @pytest.mark.parametrize(
