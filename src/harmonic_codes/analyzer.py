@@ -9,9 +9,9 @@ and runs the Gegenbauer recurrence once for all of them.  Each ScanResult
 keeps the recurrence's integer row: the scan's values, the degree's
 numerators and their one denominator.  The moduli compare as integers, and
 the JSON lines are written as text straight from the integers, with no
-encoder and no Fraction built; a Fraction is built only for a modulus or
-coherence that is read, and none is hashed unless a caller reads
-image_values.
+encoder and no Fraction built; a Fraction is built only for a modulus that
+is read (a candidate's coherence is its scan's max_modulus), and none is
+hashed unless a caller reads image_values.
 
 The module imports only harmonics from the package (the p/q parser and the
 quadratic bound live there), so a `scan` run loads no embedding, lattice or
@@ -28,7 +28,7 @@ from io import TextIOBase
 
 # gegenbauer stays importable here: bench/run.py shims it by name.
 from .harmonics import _token, format_bound, gegenbauer, gegenbauer_rows, harmonic_dimension
-from .harmonics import parse_rationals, quadratic_bound
+from .harmonics import parse_rational, quadratic_bound
 
 
 class ScanResult(namedtuple("ScanResult", "d k harmonic_dim values nums den")):
@@ -67,11 +67,6 @@ class CandidateSummary(namedtuple("CandidateSummary", "scan n_points bound")):
     """Hypothetical embedded-code parameters for a spectrum: its ScanResult, size and QuadraticBound."""
 
     __slots__ = ()
-
-    @property
-    def coherence(self) -> Fraction:
-        """The largest |g| over the scanned image."""
-        return self.scan.max_modulus
 
 
 def _checked_values(values: Iterable[int | Fraction]) -> tuple[tuple[Fraction, ...], list[int], int]:
@@ -133,7 +128,7 @@ def candidate_parameters(
 
 def read_spectrum_file(f: TextIOBase) -> list[Fraction]:
     """One p/q token per line; blank lines ignored."""
-    return parse_rationals(filter(None, map(str.strip, f.read().splitlines())))
+    return list(map(parse_rational, filter(None, map(str.strip, f.read().splitlines()))))
 
 
 def scan_to_json(result: ScanResult) -> str:

@@ -25,7 +25,7 @@ from operator import mul
 from .embedding import EmbeddedCode, Rows
 # gegenbauer stays importable here: bench/run.py shims it by name.  The bound's
 # record, constructor and formatter live in harmonics and keep their names here.
-from .harmonics import QuadraticBound, _token, format_bound, gegenbauer, gegenbauer_rows, quadratic_bound
+from .harmonics import QuadraticBound, _fraction, _token, format_bound, gegenbauer, gegenbauer_rows, quadratic_bound
 
 
 class GramView:
@@ -52,7 +52,6 @@ class GramView:
             if row[i] != 1:
                 raise ValueError(f"diagonal entry {i} is not 1")
         self.entries, self.n = entries, n
-        self.histogram = Counter({v: 2 * c for v, c in counts.items()})
         ratios = [v.as_integer_ratio() for v in counts]
         self.den = math.lcm(*(q for _, q in ratios))
         self.counts = {p * (self.den // q): 2 * c for (p, q), c in zip(ratios, counts.values())}
@@ -65,13 +64,11 @@ class FrameCheck(namedtuple("FrameCheck", "frame_num bound_num den")):
 
     @property
     def frame_sum(self) -> Fraction:
-        from fractions import Fraction  # built only when read
-        return Fraction(self.frame_num, self.den)
+        return _fraction(self.frame_num, self.den)
 
     @property
     def frame_bound(self) -> Fraction:
-        from fractions import Fraction  # built only when read
-        return Fraction(self.bound_num, self.den)
+        return _fraction(self.bound_num, self.den)
 
     @property
     def satisfied(self) -> bool:
@@ -86,8 +83,7 @@ class DesignCheck(namedtuple("DesignCheck", "nums dens")):
 
     @property
     def residuals(self) -> tuple[Fraction, ...]:
-        from fractions import Fraction  # built only when read
-        return tuple(map(Fraction, self.nums, self.dens))
+        return tuple(map(_fraction, self.nums, self.dens))
 
     @property
     def strength(self) -> int:
@@ -107,16 +103,6 @@ class CodeReport(namedtuple("CodeReport", "ambient_dim n_points den coherence co
     __slots__ = ()
 
     @property
-    def coherence_a(self) -> Fraction:
-        from fractions import Fraction  # built only when read
-        return Fraction(self.coherence, self.den)
-
-    @property
-    def spectrum(self) -> dict[Fraction, int]:
-        """The counts keyed by Fraction value: the report holds den and counts as the folds read them."""
-        return gram_spectrum(self)
-
-    @property
     def optimal_antipodal(self) -> bool:
         """Coherence meets the quadratic bound: optimal among antipodal codes."""
         return self.coherence**2 * self.bound.den == self.bound.num * self.den**2
@@ -134,13 +120,13 @@ def gram_from_embedded(code: EmbeddedCode) -> GramView:
 
 # The folds read g.n, g.den and g.counts of a validated GramView or of a built
 # EmbeddedCode: the histogram of ordered distinct pairs as numerators over den.
+# max_coherence and gram_spectrum read only den and counts, so a CodeReport too.
 Histogrammed = GramView | EmbeddedCode
 
 
 def gram_spectrum(g: Histogrammed) -> dict[Fraction, int]:
     """Value counts over ordered distinct pairs: the histogram, sorted."""
-    from fractions import Fraction  # built only when read
-    return {Fraction(a, g.den): c for a, c in sorted(g.counts.items())}
+    return {_fraction(a, g.den): c for a, c in sorted(g.counts.items())}
 
 
 def _coherence(g: Histogrammed) -> int:
@@ -158,8 +144,7 @@ def max_coherence(g: Histogrammed) -> Fraction:
     one equal to the other's partner, so some pair carries +1 and the
     coherence is 1 either way.
     """
-    from fractions import Fraction  # built only when read
-    return Fraction(_coherence(g), g.den)
+    return _fraction(_coherence(g), g.den)
 
 
 def frame_bound_check(g: Histogrammed, dim: int) -> FrameCheck:
@@ -187,8 +172,6 @@ def design_strength(g: Histogrammed, d_sphere: int, t_max: int) -> DesignCheck:
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    if d_sphere < 1:
-        raise ValueError("sphere dimension must be >= 1")
     # one recurrence for all the values over den, and each residual is one
     # integer sum over the shared denominator den_k, where each diagonal entry
     # is 1 and P_k(1) = 1, so the diagonal adds n * den_k

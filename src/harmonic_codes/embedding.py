@@ -23,8 +23,8 @@ alone; the keys are checked exactly against the explicit matrices
 
 The matrix model lives here too, as plain tuples of Fraction rows, with its
 integer flattening (_integer_flat, as acceptance criterion 05 uses it); the
-Gram reader parses its tokens with harmonics' p/q parser, still importable
-here as parse_rational, and malformed input raises ValueError.
+Gram reader parses its tokens with harmonics' p/q parser, parse_rational,
+and malformed input raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import combinations
 
-from .harmonics import harmonic_dimension, parse_rational, parse_rationals
+from .harmonics import _fraction, harmonic_dimension, parse_rational
 from .lattice import LatticeCode, _integers, dot_fields, scaled_spectrum, select_antipodal_representatives
 
 
@@ -89,12 +89,6 @@ class EmbeddedCode:
             counts[-a] += 2 * c
         return counts
 
-    @property
-    def histogram(self) -> Counter:
-        """The counts keyed by Fraction Gram value."""
-        from fractions import Fraction  # built only when read
-        return Counter({Fraction(a, self.den): c for a, c in self.counts.items()})
-
     @cached_property
     def gram(self) -> Rows:
         """The exact 2N x 2N Gram: each row of packed dot fields through two g2 tables.
@@ -103,10 +97,9 @@ class EmbeddedCode:
         -g2 of its dot; each half-row is built once and serves the top row
         [B, -B] and the bottom row [-B, B].
         """
-        from fractions import Fraction  # export --exact writes one per distinct dot
         dot, rows = dot_fields(self.reps)
         rows = list(rows)
-        plus = {key: Fraction(self.g2_numerator(dot(key)), self.den) for key in set().union(*rows)}
+        plus = {key: _fraction(self.g2_numerator(dot(key)), self.den) for key in set().union(*rows)}
         minus = {key: -v for key, v in plus.items()}
         top, bottom = [], []
         for row in rows:
@@ -125,13 +118,12 @@ def embed_degree2(code: LatticeCode, index: int) -> Rows:
         raise ValueError("ambient dimension must be at least 2")
     if not 0 <= index < len(code):
         raise IndexError(f"point index {index} out of range")
-    from fractions import Fraction  # the tests' witness; no subcommand builds it
     p = code.points[index]
     n = code.norm_sq_scaled
     m = code.ambient_dim
     return tuple(
         tuple(
-            Fraction(p[i] * p[j], n) - (Fraction(1, m) if i == j else 0)
+            _fraction(p[i] * p[j], n) - (_fraction(1, m) if i == j else 0)
             for j in range(m)
         )
         for i in range(m)
@@ -262,8 +254,7 @@ def gram_from_text(text: str) -> Rows:
     for line in lines[1:]:
         tokens = line.split()
         try:
-            new = [tok for tok in dict.fromkeys(tokens) if tok not in parsed]
-            parsed.update(zip(new, parse_rationals(new)))
+            parsed.update({tok: parse_rational(tok) for tok in dict.fromkeys(tokens) if tok not in parsed})
         except ValueError as exc:
             raise ValueError("bad rational token in gram row") from exc
         row = tuple(map(parsed.__getitem__, tokens))

@@ -16,9 +16,9 @@ The p/q token parser, the quadratic lower bound on antipodal-code
 coherence and the a/den token writer live here too, beside the dimensions
 they are read with: this module imports nothing from the package, so `scan`
 and `bound` load no embedding or certificate code.  codes and embedding
-import them back under their old names.  Only what builds a Fraction imports
-fractions, when it runs: a run that writes its numbers as _token text never
-loads it.
+import them back under their old names.  What builds a Fraction here, in
+embedding or in codes builds it through _fraction, which imports fractions
+when it runs: a run that writes its numbers as _token text never loads it.
 """
 
 from __future__ import annotations
@@ -28,29 +28,26 @@ from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator
 
 
-def parse_rationals(tokens: Iterable[str]) -> list[Fraction]:
-    """Each p/q (or plain decimal) token as a Fraction; the first malformed one is a ValueError.
+def parse_rational(token: str) -> Fraction:
+    """A p/q (or plain decimal) token as a Fraction; malformed tokens are a ValueError.
 
     Exponent notation is rejected: 1e29999999 would expand to a huge integer.
     So are non-ASCII digits and `_` separators, which Fraction() would read.
     """
-    from fractions import Fraction  # once per batch, not per token
-    out = []
-    for token in tokens:
-        if not token.isascii() or "_" in token:
-            raise ValueError(f"bad rational token {token!r}")
-        if "e" in token or "E" in token:
-            raise ValueError(f"exponent notation is not accepted: {token!r}")
-        try:
-            out.append(Fraction(token))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational token {token!r}") from exc
-    return out
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"bad rational token {token!r}")
+    if "e" in token or "E" in token:
+        raise ValueError(f"exponent notation is not accepted: {token!r}")
+    try:
+        return _fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational token {token!r}") from exc
 
 
-def parse_rational(token: str) -> Fraction:
-    """One token through parse_rationals."""
-    return parse_rationals([token])[0]
+def _fraction(*args) -> Fraction:
+    """Fraction(*args), with fractions imported only when one is built."""
+    from fractions import Fraction
+    return Fraction(*args)
 
 
 def _token(a: int, den: int) -> str:
@@ -95,9 +92,8 @@ class GegenbauerPoly:
 
     def evaluate(self, t: int | Fraction) -> Fraction:
         """Exact Horner evaluation."""
-        from fractions import Fraction  # the tests' witness; no subcommand evaluates
-        t = Fraction(t)
-        acc = Fraction(0)
+        t = _fraction(t)
+        acc = _fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
@@ -132,9 +128,8 @@ def _family_coefficients(d: int, k_max: int) -> Iterator[tuple[list[int], int]]:
 
 def gegenbauer(d: int, k: int) -> GegenbauerPoly:
     """Normalized degree-k Gegenbauer polynomial for S^d; of its family only this member is checked."""
-    from fractions import Fraction  # the one member's coefficients
     ((row, den),) = deque(_family_coefficients(d, k), maxlen=1)
-    return GegenbauerPoly(coeffs=tuple(Fraction(c, den) for c in row))
+    return GegenbauerPoly(coeffs=tuple(_fraction(c, den) for c in row))
 
 
 def gegenbauer_rows(
@@ -167,9 +162,8 @@ def gegenbauer_rows(
 
 def gegenbauer_values(d: int, t: int | Fraction, degrees: Iterable[int]) -> list[Fraction]:
     """P_k(t) for S^d at each k in degrees: gegenbauer_rows at the one point t = p/q."""
-    from fractions import Fraction  # one per degree asked for
     p, q = t.as_integer_ratio()
-    return [Fraction(row[0], den) for row, den in gegenbauer_rows(d, [p], q, degrees)]
+    return [_fraction(row[0], den) for row, den in gegenbauer_rows(d, [p], q, degrees)]
 
 
 class QuadraticBound(namedtuple("QuadraticBound", "num den")):
@@ -180,8 +174,7 @@ class QuadraticBound(namedtuple("QuadraticBound", "num den")):
     @property
     def radicand(self) -> Fraction:
         """a_min^2 as a Fraction."""
-        from fractions import Fraction  # built only when read
-        return Fraction(self.num, self.den)
+        return _fraction(self.num, self.den)
 
     @property
     def root(self) -> tuple[int, int] | None:
@@ -193,8 +186,7 @@ class QuadraticBound(namedtuple("QuadraticBound", "num den")):
     @property
     def value(self) -> Fraction | None:
         """The rational square root of the radicand, or None when the bound is irrational."""
-        from fractions import Fraction  # built only when read
-        return None if (root := self.root) is None else Fraction(*root)
+        return None if (root := self.root) is None else _fraction(*root)
 
 
 def quadratic_bound(n: int, dim: int) -> QuadraticBound:

@@ -233,8 +233,8 @@ def test_scan_and_candidates_match_witness(values, d, ks, half_n):
         assert summary.scan == r
         assert summary.n_points == 2 * half_n
         assert summary.bound == w.bound
-        assert summary.coherence == w.max_modulus
-        assert type(summary.coherence) is Fraction
+        assert summary.scan.max_modulus == w.max_modulus
+        assert type(summary.scan.max_modulus) is Fraction
         assert candidate_to_json(summary) == w.candidate_json
 
 
@@ -320,7 +320,7 @@ def test_candidate_equiangular_instance():
     summary = candidate_parameters([0, HALF, -HALF], 7, 2, 240)
     assert summary.scan.harmonic_dim == 35
     assert summary.n_points == 240
-    assert summary.coherence == Fraction(1, 7)
+    assert summary.scan.max_modulus == Fraction(1, 7)
     assert summary.bound.value == Fraction(1, 7)
     assert summary.scan.constant_modulus
 
@@ -328,7 +328,7 @@ def test_candidate_equiangular_instance():
 def test_candidate_wider_spectrum():
     summary = candidate_parameters([0, QUARTER, -QUARTER, HALF, -HALF], 23, 2, 196560)
     assert summary.scan.harmonic_dim == 299
-    assert summary.coherence == Fraction(5, 23)
+    assert summary.scan.max_modulus == Fraction(5, 23)
     assert not summary.scan.constant_modulus
     assert summary.bound.radicand == Fraction(7537, 2260417)
     assert summary.bound.value is None
@@ -337,7 +337,7 @@ def test_candidate_wider_spectrum():
 def test_candidate_orthogonal_spectrum():
     summary = candidate_parameters([0], 7, 2, 70)
     assert summary.scan.harmonic_dim == 35
-    assert summary.coherence == Fraction(1, 7)
+    assert summary.scan.max_modulus == Fraction(1, 7)
     assert summary.bound.value == 0
     assert summary.scan.constant_modulus
 

@@ -339,8 +339,8 @@ def test_design_strength_rejects_bad_t_max(e8_gram):
 def test_certify_e8(e8_report):
     assert e8_report.ambient_dim == 35
     assert e8_report.n_points == 240
-    assert e8_report.coherence_a == Fraction(1, 7)
-    assert e8_report.spectrum == {
+    assert max_coherence(e8_report) == Fraction(1, 7)
+    assert gram_spectrum(e8_report) == {
         Fraction(-1): 240,
         Fraction(-1, 7): 28560,
         Fraction(1, 7): 28560,
@@ -388,7 +388,7 @@ def test_certify_non_optimal_code():
     report = certify(build_code(LatticeCode(3, 1, 1, points)))
     assert report.ambient_dim == 5
     assert report.n_points == 6
-    assert report.coherence_a == Fraction(1, 2)
+    assert max_coherence(report) == Fraction(1, 2)
     assert report.bound.value == 0
     assert not report.optimal_antipodal
     assert not report.passed
@@ -472,8 +472,8 @@ def _report_json_witness(report):
     return json.dumps({
         "ambient_dim": report.ambient_dim,
         "n_points": report.n_points,
-        "coherence": str(report.coherence_a),
-        "spectrum": {str(v): count for v, count in report.spectrum.items()},
+        "coherence": str(max_coherence(report)),
+        "spectrum": {str(v): count for v, count in gram_spectrum(report).items()},
         "bound": format_bound(report.bound),
         "frame_sum": str(report.frame.frame_sum),
         "frame_bound": str(report.frame.frame_bound),
@@ -512,6 +512,12 @@ def _frobenius_gram(roots):
     )
 
 
+def _off_diagonal_counts(g):
+    """The Gram view's entries off the diagonal, counted as Fractions: the
+    histogram straight from the explicit Gram, with no integer counts read."""
+    return Counter(v for i, row in enumerate(g.entries) for j, v in enumerate(row) if i != j)
+
+
 def _direct_certificate(gram, dim, t_max):
     """Spectrum, frame sum, residuals and coherence by a double loop over the
     witness Gram, whose point i + N is the sign flip of point i."""
@@ -547,9 +553,9 @@ def test_histogram_folds_match_direct_scan(make, optimal, e8_roots):
         _frobenius_gram(roots), dim, t_max
     )
     report = certify(code, t_max=t_max)
-    assert report.spectrum == spectrum
+    assert gram_spectrum(report) == spectrum
     assert report.frame.frame_sum == frame_sum
-    assert report.coherence_a == coherence
+    assert max_coherence(report) == coherence
     assert report.optimal_antipodal is optimal
     assert report.design.residuals == residuals
     strength = next((k for k, r in enumerate(residuals) if r != 0), t_max)
@@ -584,8 +590,8 @@ def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
     coherence = max_coherence(g)
     report = certify(code, t_max=t_max)
     assert (report.ambient_dim, report.n_points) == (dim, g.n)
-    assert report.coherence_a == coherence
-    assert report.spectrum == gram_spectrum(g)
+    assert max_coherence(report) == coherence
+    assert gram_spectrum(report) == gram_spectrum(g)
     assert report.bound == bound
     assert (report.frame.frame_sum, report.frame.frame_bound) == (frame.frame_sum, frame.frame_bound)
     assert report.design.residuals == design_strength(g, dim - 1, t_max).residuals
@@ -596,15 +602,15 @@ def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
     # the frame excess is the k = 2 design residual, scaled by (dim - 1)/dim
     residuals = design_strength(g, dim - 1, 2).residuals
     assert frame.frame_sum - frame.frame_bound == Fraction(dim - 1, dim) * residuals[1]
-    assert code.histogram == g.histogram
+    assert gram_spectrum(code) == _off_diagonal_counts(g)
     # both histograms count ordered pairs of distinct points: the Gram spectrum
-    assert sum(code.histogram.values()) == g.n * (g.n - 1)
-    assert code.histogram == gram_spectrum(g)
+    assert sum(gram_spectrum(code).values()) == g.n * (g.n - 1)
+    assert gram_spectrum(code) == gram_spectrum(g)
     # the degree-2 scan candidate over the representatives' spectrum is the certificate
     (scan,) = constant_modulus_scan(spectrum(code.reps), roots.ambient_dim - 1, [2])
     candidate = candidate_from_scan(scan, code.n)
     assert (scan.harmonic_dim, candidate.n_points) == (report.ambient_dim, report.n_points)
-    assert candidate.coherence == report.coherence_a
+    assert candidate.scan.max_modulus == max_coherence(report)
     assert candidate.bound == report.bound
     # the closed-form float export against the same explicit Frobenius Gram
     rows = [[float(x) for x in line.split()] for line in float_code_to_text(code).splitlines()[1:]]
@@ -635,8 +641,8 @@ def antipodal_integer_codes(draw):
 
 def _fraction_certificate(g, dim, t_max):
     """Coherence, sorted spectrum, radicand, frame sum and bound, and residuals,
-    in Fraction arithmetic over a Gram view's histogram."""
-    hist = g.histogram
+    in Fraction arithmetic over a Gram view's explicit entries."""
+    hist = _off_diagonal_counts(g)
     polys = [gegenbauer(dim - 1, k) for k in range(1, t_max + 1)]
     return (
         max(abs(v) for v in hist if v != -1),
@@ -671,8 +677,8 @@ def test_integer_certificate_matches_fraction_witness(roots, t_max):
     # and over the built code's numerators over (m - 1) n^2, with its verdicts
     report = certify(code, t_max=t_max)
     optimal = coherence * coherence == radicand
-    assert report.coherence_a == coherence
-    assert list(report.spectrum.items()) == list(spectrum_.items())
+    assert max_coherence(report) == coherence
+    assert list(gram_spectrum(report).items()) == list(spectrum_.items())
     assert report.bound.radicand == radicand
     assert (report.frame.frame_sum, report.frame.frame_bound) == (frame_sum, frame_bound)
     assert report.design.residuals == residuals

@@ -264,17 +264,27 @@ def _top_level(path):
         yield (stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None), stmt
 
 
+def _scoped(node, scope=()):
+    """(scope, node) of every node under node, where scope is the tuple of the
+    names of the function and class definitions it sits in, outermost first."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = (*scope, child.name) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+        yield from _scoped(child, inner)
+
+
 def _named(path):
-    """(owner, name) of every Name, Attribute and import alias in path, where owner
-    is the module-level definition the node sits in (None outside one)."""
-    for owner, stmt in _top_level(path):
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                yield owner, node.id
-            elif isinstance(node, ast.Attribute):
-                yield owner, node.attr
-            elif isinstance(node, ast.alias):
-                yield owner, node.name
+    """(scope, name) of every Name, Attribute and import alias in path."""
+    for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield scope, node.id
+        elif isinstance(node, ast.Attribute):
+            yield scope, node.attr
+        elif isinstance(node, ast.alias):
+            yield scope, node.name
+
+
+_CALLER_FILES = [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
 
 
 def test_every_public_definition_has_a_caller_outside_the_unit_tests():
@@ -283,9 +293,9 @@ def test_every_public_definition_has_a_caller_outside_the_unit_tests():
     # the package, the bench and the acceptance suite count as callers, a
     # definition's own body does not
     callers = {}
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
-        for owner, name in _named(path):
-            callers.setdefault(name, set()).add((path, owner))
+    for path in _CALLER_FILES:
+        for scope, name in _named(path):
+            callers.setdefault(name, set()).add((path, scope[0] if scope else None))
     unused = [
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -293,3 +303,37 @@ def test_every_public_definition_has_a_caller_outside_the_unit_tests():
         if name and not callers.get(name, set()) - {(path, name)}
     ]
     assert unused == []
+
+
+def test_every_method_has_a_caller_outside_the_unit_tests():
+    # the same rule for the methods and properties of the package's classes:
+    # a view only the unit tests read belongs in the tests; a method's own
+    # body does not count as its caller, and dunders are called by Python
+    callers = {}
+    for path in _CALLER_FILES:
+        for scope, name in _named(path):
+            callers.setdefault(name, set()).add((path, scope[:2]))
+    unused = [
+        f"{path.stem}.{cls.name}.{method.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, cls in _top_level(path)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("__")
+        and not callers.get(method.name, set()) - {(path, (cls.name, method.name))}
+    ]
+    assert unused == []
+
+
+def test_fractions_is_imported_in_exactly_three_places():
+    # every Fraction the package builds comes through harmonics._fraction,
+    # besides analyzer's, whose every scan builds them, and lattice's, which
+    # imports nothing from the package
+    sites = sorted(
+        ".".join((path.stem, *scope))
+        for path in PACKAGE.glob("*.py")
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Import) and any(alias.name == "fractions" for alias in node.names)
+    )
+    assert sites == ["analyzer", "harmonics._fraction", "lattice.LatticeCode.normalized_inner"]
