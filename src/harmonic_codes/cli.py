@@ -51,13 +51,15 @@ def cmd_dim(args) -> tuple[int, str]:
 
 
 def cmd_gegenbauer(args) -> tuple[int, str]:
-    from .harmonics import gegenbauer, gegenbauer_values, harmonic_dimension, parse_rational
+    from .harmonics import _token, gegenbauer, gegenbauer_rows, harmonic_dimension, parse_rational
 
     if args.at is None:
-        return 0, " ".join(map(str, gegenbauer(args.d, args.k).coeffs)) + "\n"
+        poly = gegenbauer(args.d, args.k)
+        return 0, " ".join([_token(c, poly.den) for c in poly.row]) + "\n"
     harmonic_dimension(args.d, args.k)  # d and k are rejected before the point is parsed
-    (value,) = gegenbauer_values(args.d, parse_rational(args.at), [args.k])
-    return 0, f"{value}\n"
+    p, q = parse_rational(args.at).as_integer_ratio()
+    ((row, den),) = gegenbauer_rows(args.d, [p], q, [args.k])
+    return 0, f"{_token(row[0], den)}\n"
 
 
 def cmd_build(args) -> tuple[int, str]:

@@ -186,7 +186,7 @@ def certify(code: EmbeddedCode, t_max: int = 3) -> CodeReport:
 
     The verdict is exact: the code is optimal among antipodal codes of the
     same size and dimension iff its coherence squared equals the bound's
-    radicand.  Every certificate folds over the code's histogram of
+    num/den.  Every certificate folds over the code's histogram of
     distinct pairs, with the frame sum and design residuals adding the n
     diagonal term; no Gram is built.
     """

@@ -7,10 +7,10 @@ three-term recurrence that keeps this normalization at every step, for
 every d >= 1.  Under this normalization the degree-k polynomial gives the
 inner product of degree-k reproducing-kernel elements attached to two
 sphere points with inner product t.  The recurrence runs on integers over
-one denominator per degree: gegenbauer builds a Fraction only for the member
-it returns, and gegenbauer_rows runs it at many rational points over one
-common denominator, one list of numerators per degree, with no coefficients;
-gegenbauer_values is its one-point case.
+one denominator per degree: gegenbauer keeps the member it returns as that
+integer row, whose Fraction coefficients are built only when read, and
+gegenbauer_rows runs it at many rational points over one common
+denominator, one list of numerators per degree, with no coefficients.
 
 The p/q token parser, the quadratic lower bound on antipodal-code
 coherence and the a/den token writer live here too, beside the dimensions
@@ -24,8 +24,8 @@ when it runs: a run that writes its numbers as _token text never loads it.
 from __future__ import annotations
 
 import math
-from collections import deque, namedtuple
-from collections.abc import Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterable
 
 
 def parse_rational(token: str) -> Fraction:
@@ -33,8 +33,9 @@ def parse_rational(token: str) -> Fraction:
 
     Exponent notation is rejected: 1e29999999 would expand to a huge integer.
     So are non-ASCII digits and `_` separators, which Fraction() would read.
+    So is whitespace inside a token, which Fraction() reads around the slash from Python 3.12 on.
     """
-    if not token.isascii() or "_" in token:
+    if not token.isascii() or "_" in token or len(token.split()) > 1:
         raise ValueError(f"bad rational token {token!r}")
     if "e" in token or "E" in token:
         raise ValueError(f"exponent notation is not accepted: {token!r}")
@@ -76,60 +77,56 @@ def harmonic_dimension(d: int, k: int) -> int:
 class GegenbauerPoly:
     """Degree-k Gegenbauer polynomial for S^d, normalized to 1 at t = 1.
 
-    coeffs holds k+1 Fraction coefficients, constant term first.  Only
-    every other coefficient can be nonzero (the polynomial has the parity
-    of its degree).
+    row holds k+1 unreduced integer coefficients over den > 0, constant term
+    first, and coeffs is their Fraction view.  Only every other coefficient
+    can be nonzero (the polynomial has the parity of its degree).
     """
 
-    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
-        self.coeffs = coeffs
+    def __init__(self, row: list[int], den: int) -> None:
+        self.row, self.den = row, den
         # Powers k-1, k-3, ... must vanish; the rest then sum to the value at
-        # t = 1, which is 0 for an empty tuple.
-        if any(self.coeffs[-2::-2]):
+        # t = 1, which is 0 for an empty row.
+        if any(row[-2::-2]):
             raise ValueError("coefficient of the wrong parity for the degree")
-        if sum(self.coeffs[::-2]) != 1:
+        if sum(row[::-2]) != den:
             raise ValueError("polynomial is not normalized at t = 1")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(_fraction(c, self.den) for c in self.row)
+
     def evaluate(self, t: int | Fraction) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact Horner evaluation over the row, divided by den once."""
         t = _fraction(t)
         acc = _fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.row):
             acc = acc * t + c
-        return acc
+        return acc / self.den
 
 
-def _family_coefficients(d: int, k_max: int) -> Iterator[tuple[list[int], int]]:
-    """Coefficients of P_0, ..., P_k_max for S^d, from one run: yields P_j as (row, den), P_j = row / den.
+def gegenbauer(d: int, k: int) -> GegenbauerPoly:
+    """Normalized degree-k Gegenbauer polynomial for S^d, P_k = row / den, from one run of its family.
 
     The normalized family's recurrence (j+d-2) P_j = (2j+d-3) t P_{j-1} - (j-1) P_{j-2},
     from P_0 = 1 and P_1 = t, runs on integers as in gegenbauer_rows:
     a_j = (2j+d-3) t a_{j-1} - (j-1)(j+d-3) a_{j-2} over D_j = D_{j-1} (j+d-2),
     the factor j+d-3 read as 1 at j = 2.  Every P_j is 1 at t = 1 by
     construction, and at d = 1 this is Chebyshev's T_j = 2t T_{j-1} - T_{j-2}.
-    Only the last two rows stay alive: unreduced rows grow as D_j does.  Being
-    a generator, it raises on the first next(), the sphere first.
+    Only the last two rows stay alive: unreduced rows grow as D_j does.  Of
+    the family only P_k is checked.
     """
     if d < 1:
         raise ValueError("sphere dimension must be >= 1")
-    if k_max < 0:
+    if k < 0:
         raise ValueError("degree must be >= 0")
     row, den = [1], 1
-    yield row, den
-    if k_max:
+    if k:
         prev, row = row, [0, 1]
-        yield row, den
-    for j in range(2, k_max + 1):
+    for j in range(2, k + 1):
         a, b = 2 * j + d - 3, (j - 1) * (j + d - 3 if j > 2 else 1)
         prev, row = row, [a * x - b * y for x, y in zip([0, *row], [*prev, 0, 0])]
         den *= j + d - 2
-        yield row, den
-
-
-def gegenbauer(d: int, k: int) -> GegenbauerPoly:
-    """Normalized degree-k Gegenbauer polynomial for S^d; of its family only this member is checked."""
-    ((row, den),) = deque(_family_coefficients(d, k), maxlen=1)
-    return GegenbauerPoly(coeffs=tuple(_fraction(c, den) for c in row))
+    return GegenbauerPoly(row, den)
 
 
 def gegenbauer_rows(
@@ -160,32 +157,21 @@ def gegenbauer_rows(
     return [(rows[k], dens[k]) for k in degrees]
 
 
-def gegenbauer_values(d: int, t: int | Fraction, degrees: Iterable[int]) -> list[Fraction]:
-    """P_k(t) for S^d at each k in degrees: gegenbauer_rows at the one point t = p/q."""
-    p, q = t.as_integer_ratio()
-    return [_fraction(row[0], den) for row, den in gegenbauer_rows(d, [p], q, degrees)]
-
-
 class QuadraticBound(namedtuple("QuadraticBound", "num den")):
     """Lower bound a_min on antipodal-code coherence, kept exact as a_min^2 = num/den >= 0, den > 0."""
 
     __slots__ = ()
 
     @property
-    def radicand(self) -> Fraction:
-        """a_min^2 as a Fraction."""
-        return _fraction(self.num, self.den)
-
-    @property
     def root(self) -> tuple[int, int] | None:
-        """The radicand's rational square root in lowest terms as (p, q), or None when it is irrational."""
+        """The rational square root of num/den in lowest terms as (p, q), or None when it is irrational."""
         g = math.gcd(self.num, self.den)
         p, q = math.isqrt(self.num // g), math.isqrt(self.den // g)
         return (p, q) if p * p * g == self.num and q * q * g == self.den else None
 
     @property
     def value(self) -> Fraction | None:
-        """The rational square root of the radicand, or None when the bound is irrational."""
+        """The rational square root of num/den, or None when the bound is irrational."""
         return None if (root := self.root) is None else _fraction(*root)
 
 
@@ -195,7 +181,7 @@ def quadratic_bound(n: int, dim: int) -> QuadraticBound:
     From sum (y_i,y_j)^2 >= n^2/dim the diagonal and antipodal pairs each
     contribute n, leaving n(n-2) ordered pairs to average at least
     (n^2/dim - 2n)/(n(n-2)) = (n - 2 dim)/(dim (n-2)).  The record keeps that
-    average, clamped at zero, as its radicand num/den; its value is the
+    average, clamped at zero, as a_min^2 = num/den; its value is the
     rational square root, if any.
     """
     if n % 2 != 0:

@@ -17,7 +17,8 @@ from harmonic_codes.analyzer import (
     scan_to_json,
 )
 from harmonic_codes.codes import QuadraticBound, format_bound, quadratic_bound
-from harmonic_codes.harmonics import gegenbauer, gegenbauer_values, harmonic_dimension
+from harmonic_codes.harmonics import gegenbauer, harmonic_dimension
+from test_harmonics import gegenbauer_values
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -257,11 +258,12 @@ def test_scan_errors_match_witness(values, d, ks):
 
 
 def test_quadratic_bound_matches_quotient_form():
-    # the radicand as one Fraction against (n/dim - 2)/(n - 2) clamped at 0
+    # the bound's num/den as one Fraction against (n/dim - 2)/(n - 2) clamped at 0
     for n in range(4, 601, 2):
         for dim in range(1, 701):
             old = max(Fraction(0), (Fraction(n, dim) - 2) / (n - 2))
-            assert quadratic_bound(n, dim).radicand == old
+            bound = quadratic_bound(n, dim)
+            assert Fraction(bound.num, bound.den) == old
 
 
 def test_scan_rejects_out_of_range_value():
@@ -330,7 +332,7 @@ def test_candidate_wider_spectrum():
     assert summary.scan.harmonic_dim == 299
     assert summary.scan.max_modulus == Fraction(5, 23)
     assert not summary.scan.constant_modulus
-    assert summary.bound.radicand == Fraction(7537, 2260417)
+    assert Fraction(summary.bound.num, summary.bound.den) == Fraction(7537, 2260417)
     assert summary.bound.value is None
 
 

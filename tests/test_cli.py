@@ -25,7 +25,7 @@ from harmonic_codes.codes import (
     report_to_json,
 )
 from harmonic_codes.embedding import build_code, gram_from_text, gram_to_text
-from harmonic_codes.harmonics import _family_coefficients, gegenbauer_rows
+from harmonic_codes.harmonics import GegenbauerPoly, gegenbauer, gegenbauer_rows
 from harmonic_codes.lattice import (
     LatticeCode,
     code_from_text,
@@ -292,6 +292,8 @@ ROWS = _readme_rows() + [
     Row("scan --in - -d 7 -k 2", "0\n1e5\n", 1, err="exponent notation is not accepted: '1e5'"),
     # rejected before Fraction would expand it to a thirty-million-digit integer
     Row("scan --in - -d 7 -k 2", "0\n1e29999999\n", 1, err="exponent notation is not accepted: '1e29999999'"),
+    # Fraction() reads spaces around the slash from Python 3.12 on: no Python reads them here
+    Row("scan --in - -d 7 -k 2", "0\n1 / 2\n", 1, err="bad rational token '1 / 2'"),
     Row("bound -n 241 --dim 35", status=1, err="antipodal codes have an even number of points"),
     Row("bound -n 240 --dim 0", status=1, err="dimension must be positive"),
     Row("dim -d 0 -k 2", status=1, err="sphere dimension must be >= 1"),
@@ -470,6 +472,28 @@ def test_gegenbauer_bad_point_exits_one(capsys):
     assert captured.err == (
         "harmonic-codes: error: exponent notation is not accepted: '1e29999999'\n"
     )
+    # whitespace inside the point, which Fraction() reads from Python 3.12 on
+    assert main(["gegenbauer", "-d", "7", "-k", "2", "--at", "1 / 2"]) == 1
+    assert capsys.readouterr().err == "harmonic-codes: error: bad rational token '1 / 2'\n"
+
+
+def _printed(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 40), k=st.integers(0, 30), q=st.integers(1, 50), data=st.data())
+def test_gegenbauer_prints_what_str_of_its_fractions_prints(d, k, q, data):
+    # the coefficients and the value are written from integer rows, with no
+    # Fraction built: the same text as str() of the polynomial's Fractions
+    p = data.draw(st.integers(-q, q))
+    poly = gegenbauer(d, k)
+    argv = ["gegenbauer", "-d", str(d), "-k", str(k)]
+    assert _printed(argv) == " ".join(map(str, poly.coeffs)) + "\n"
+    assert _printed([*argv, "--at", f"{p}/{q}"]) == f"{poly.evaluate(Fraction(p, q))}\n"
 
 
 @pytest.mark.parametrize(
@@ -641,28 +665,30 @@ def test_scan_bytes_are_pinned(capsys, monkeypatch):
 def test_scan_and_design_run_one_recurrence_each(roots_file, capsys, monkeypatch):
     # the k = 1..12 sweep with its candidates, and the t = 12 design fold, each
     # run the many-point recurrence once, over all their values to the top
-    # degree, and build no coefficients: the spy sits under gegenbauer() too
-    runs, families = [], []
+    # degree, and build no polynomial: the spy sits under gegenbauer() too
+    runs, polys = [], []
 
     def counted(d, nums, den, degrees):
         nums, degrees = list(nums), list(degrees)
         runs.append((d, sorted(Fraction(a, den) for a in nums), max(degrees)))
         return gegenbauer_rows(d, nums, den, degrees)
 
-    def family(d, k_max):
-        families.append((d, k_max))
-        return _family_coefficients(d, k_max)
+    def poly(row, den):
+        polys.append((len(row) - 1, den))
+        return GegenbauerPoly(row, den)
 
     monkeypatch.setattr("harmonic_codes.analyzer.gegenbauer_rows", counted)
     monkeypatch.setattr("harmonic_codes.codes.gegenbauer_rows", counted)
-    monkeypatch.setattr("harmonic_codes.harmonics._family_coefficients", family)
+    monkeypatch.setattr("harmonic_codes.harmonics.GegenbauerPoly", poly)
     monkeypatch.setattr("sys.stdin", io.StringIO("0\n1/2\n-1/2\n"))
     assert main(PINNED_SCAN) == 0
     assert runs == [(7, [Fraction(-1, 2), 0, Fraction(1, 2)], 12)]
     runs.clear()
     assert main(["design", "--in", roots_file, "--t-max", "12"]) == 0
     assert runs == [(34, [-1, Fraction(-1, 7), Fraction(1, 7)], 12)]
-    assert families == []
+    assert polys == []
+    analyzer.gegenbauer(7, 2)  # the spy sees a polynomial built under either name
+    assert polys == [(2, 7)]
 
 
 def test_scan_builds_two_fractions_per_degree_and_hashes_none(capsys, monkeypatch):

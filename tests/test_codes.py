@@ -223,26 +223,26 @@ def test_frame_bound_soundness_random_unit_vectors():
 
 def test_quadratic_bound_e8_parameters():
     bound = quadratic_bound(240, 35)
-    assert bound.radicand == Fraction(1, 49)
+    assert Fraction(bound.num, bound.den) == Fraction(1, 49)
     assert bound.value == Fraction(1, 7)
 
 
 def test_quadratic_bound_orthonormal_case():
     for dim in (5, 24, 35):
         bound = quadratic_bound(2 * dim, dim)
-        assert bound.radicand == 0
+        assert Fraction(bound.num, bound.den) == 0
         assert bound.value == 0
 
 
 def test_quadratic_bound_clamps_at_zero():
     bound = quadratic_bound(6, 5)
-    assert bound.radicand == 0
+    assert Fraction(bound.num, bound.den) == 0
     assert bound.value == 0
 
 
 def test_quadratic_bound_irrational():
     bound = quadratic_bound(98, 24)
-    assert bound.radicand == Fraction(25, 1152)
+    assert Fraction(bound.num, bound.den) == Fraction(25, 1152)
     assert bound.value is None
 
 
@@ -271,7 +271,7 @@ def test_quadratic_bound_soundness_random_antipodal_sets():
         g = _gram_of_vectors(vectors)
         bound = quadratic_bound(2 * half, m)
         coherence = max_coherence(g)
-        assert coherence * coherence >= bound.radicand
+        assert coherence * coherence >= Fraction(bound.num, bound.den)
 
 
 # --- design strength --------------------------------------------------------
@@ -345,7 +345,7 @@ def test_certify_e8(e8_report):
         Fraction(-1, 7): 28560,
         Fraction(1, 7): 28560,
     }
-    assert e8_report.bound.radicand == Fraction(1, 49)
+    assert Fraction(e8_report.bound.num, e8_report.bound.den) == Fraction(1, 49)
     assert e8_report.bound.value == Fraction(1, 7)
     assert (e8_report.frame.frame_sum, e8_report.frame.frame_bound) == (Fraction(11520, 7), Fraction(11520, 7))
     assert e8_report.frame.satisfied
@@ -379,7 +379,7 @@ def test_certify_orthonormal_plus_minus():
     assert bound.value == 0
     assert frame.frame_sum == frame.frame_bound == 12
     assert design_strength(g, 2, 3).strength == 3
-    assert max_coherence(g) ** 2 == bound.radicand
+    assert max_coherence(g) ** 2 == Fraction(bound.num, bound.den)
 
 
 def test_certify_non_optimal_code():
@@ -596,7 +596,7 @@ def test_built_code_matches_explicit_frobenius_gram(roots, t_max):
     assert (report.frame.frame_sum, report.frame.frame_bound) == (frame.frame_sum, frame.frame_bound)
     assert report.design.residuals == design_strength(g, dim - 1, t_max).residuals
     # the verdict against the explicit-Gram witness, spelled out
-    optimal = coherence * coherence == bound.radicand
+    optimal = coherence * coherence == Fraction(bound.num, bound.den)
     assert report.optimal_antipodal is optimal
     assert report.passed is (optimal and frame.frame_sum >= frame.frame_bound)
     # the frame excess is the k = 2 design residual, scaled by (dim - 1)/dim
@@ -679,7 +679,7 @@ def test_integer_certificate_matches_fraction_witness(roots, t_max):
     optimal = coherence * coherence == radicand
     assert max_coherence(report) == coherence
     assert list(gram_spectrum(report).items()) == list(spectrum_.items())
-    assert report.bound.radicand == radicand
+    assert Fraction(report.bound.num, report.bound.den) == radicand
     assert (report.frame.frame_sum, report.frame.frame_bound) == (frame_sum, frame_bound)
     assert report.design.residuals == residuals
     assert report.optimal_antipodal is optimal

@@ -496,9 +496,10 @@ def test_field_axioms_on_random_rationals():
 def test_parse_rational_tokens():
     assert parse_rational("-3/6") == Fraction(-1, 2)
     assert parse_rational("0.25") == Fraction(1, 4)
+    assert parse_rational(" -3/6\n") == Fraction(-1, 2)  # whitespace around the token is read
     # Fraction() alone would read the Arabic-Indic digit and `_` separators:
-    # as 1/7, 10/7 and 1/7
-    for token in ("1/0", "x", "\u0661/7", "1_0/7", "1/0_7"):
+    # as 1/7, 10/7 and 1/7; from Python 3.12 on, also spaces around the slash
+    for token in ("1/0", "x", "\u0661/7", "1_0/7", "1/0_7", "1 / 2", "1 /2"):
         with pytest.raises(ValueError, match="bad rational token"):
             parse_rational(token)
     for token in ("1e400", "2.5E-3", "1e29999999"):

@@ -14,16 +14,20 @@ from harmonic_codes.harmonics import (
     GegenbauerPoly,
     gegenbauer,
     gegenbauer_rows,
-    gegenbauer_values,
     harmonic_dimension,
 )
 
 
 def gegenbauer_family(d, k_max):
     """Normalized Gegenbauer polynomials P_0, ..., P_k_max for S^d, each checked."""
-    family = list(harmonics._family_coefficients(d, k_max))
-    assert len(family) == k_max + 1
-    return tuple(GegenbauerPoly(coeffs=tuple(Fraction(c, den) for c in row)) for row, den in family)
+    harmonic_dimension(d, k_max)  # raises as gegenbauer does, the sphere first
+    return tuple(gegenbauer(d, j) for j in range(k_max + 1))
+
+
+def gegenbauer_values(d, t, degrees):
+    """P_k(t) for S^d at each k in degrees, as Fractions: gegenbauer_rows at the one point t = p/q."""
+    p, q = t.as_integer_ratio()
+    return [Fraction(row[0], den) for row, den in gegenbauer_rows(d, [p], q, degrees)]
 
 
 def _rising(x, m):
@@ -200,24 +204,24 @@ def test_circle_family_is_chebyshev():
 
 def test_poly_validation():
     with pytest.raises(ValueError, match="not normalized at t = 1"):
-        GegenbauerPoly(coeffs=(Fraction(0), Fraction(0), Fraction(2)))
+        GegenbauerPoly([0, 0, 2], 1)
     with pytest.raises(ValueError, match="wrong parity"):
-        GegenbauerPoly(coeffs=(Fraction(-1, 7), Fraction(1, 7), Fraction(1)))
+        GegenbauerPoly([-1, 1, 7], 7)
     with pytest.raises(ValueError, match="not normalized at t = 1"):
-        GegenbauerPoly(coeffs=())
+        GegenbauerPoly([], 1)
     for d in (1, 7, 34):
         for poly in gegenbauer_family(d, 12):
-            coeffs = list(poly.coeffs)
-            GegenbauerPoly(coeffs=tuple(coeffs))  # the family's own coefficients pass both checks
+            row, den = list(poly.row), poly.den
+            GegenbauerPoly(row, den)  # the family's own rows pass both checks
             # any one coefficient of the wrong parity for the degree
-            for j in range(len(coeffs) - 2, -1, -2):
-                bad = coeffs.copy()
-                bad[j] = Fraction(1, 3)
+            for j in range(len(row) - 2, -1, -2):
+                bad = row.copy()
+                bad[j] = 1
                 with pytest.raises(ValueError, match="wrong parity"):
-                    GegenbauerPoly(coeffs=tuple(bad))
+                    GegenbauerPoly(bad, den)
             # the value at t = 1 is off by one
             with pytest.raises(ValueError, match="not normalized at t = 1"):
-                GegenbauerPoly(coeffs=tuple(coeffs[:-1] + [coeffs[-1] + 1]))
+                GegenbauerPoly(row[:-1] + [row[-1] + den], den)
 
 
 def _horner(coeffs, t):
@@ -240,9 +244,9 @@ def test_gegenbauer_builds_and_checks_only_its_degree(monkeypatch):
     checked = []
     check = GegenbauerPoly.__init__
 
-    def counted(self, coeffs):
-        checked.append(len(coeffs) - 1)
-        check(self, coeffs)
+    def counted(self, row, den):
+        checked.append(len(row) - 1)
+        check(self, row, den)
 
     monkeypatch.setattr(GegenbauerPoly, "__init__", counted)
     for d in (1, 7, 34):
@@ -256,7 +260,8 @@ def test_gegenbauer_builds_and_checks_only_its_degree(monkeypatch):
 
 
 def test_gegenbauer_runs_its_recurrence_on_integers(monkeypatch):
-    # no Fraction arithmetic: the coefficients are Fractions built once, at the end
+    # no Fraction arithmetic: the polynomial keeps its integer row, and its
+    # Fraction coefficients are built only when coeffs is read
     calls = []
     for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
         def counted(*args, _name=name, _op=getattr(fractions.Fraction, name)):
@@ -276,12 +281,12 @@ def test_gegenbauer_keeps_only_the_last_rows():
     # the last row's size for k = 600, keeping two peaks at ~3x
     d, k = 7, 600
     poly = gegenbauer(d, k)
-    den = math.prod(range(d, k + d - 1))  # D_k = d (d+1) ... (k+d-2)
-    row = [c.numerator * (den // c.denominator) for c in poly.coeffs]
-    row_bytes = sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+    assert poly.den == math.prod(range(d, k + d - 1))  # D_k = d (d+1) ... (k+d-2)
+    row_bytes = sys.getsizeof(poly.row) + sum(map(sys.getsizeof, poly.row))
     tracemalloc.start()
     try:
-        assert gegenbauer(d, k).coeffs == poly.coeffs
+        again = gegenbauer(d, k)
+        assert (again.row, again.den) == (poly.row, poly.den)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -319,6 +324,18 @@ def test_point_values_errors_and_paper_values():
         gegenbauer_values(0, 0, [])
     with pytest.raises(ValueError, match="degree must be >= 0"):
         gegenbauer_values(1, 0, [3, -1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(-(10**40), 10**40), den=st.integers(1, 10**40), m=st.integers(-(10**6), 10**6))
+@example(a=0, den=1, m=0)
+@example(a=-6, den=4, m=-1)
+@example(a=1234567, den=89, m=37)
+def test_token_writes_what_str_of_a_fraction_writes(a, den, m):
+    # any numerator over any den >= 1, and multiples of den, which are integers
+    assert harmonics._token(a, den) == str(Fraction(a, den))
+    assert harmonics._token(m * den, den) == str(Fraction(m * den, den)) == str(m)
+    assert harmonics._token(0, den) == "0"
 
 
 @st.composite

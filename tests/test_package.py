@@ -183,13 +183,14 @@ WRITES_NO_FRACTION = [
     ("design --in - --t-max 12", "e8", 0, E8_DESIGN_T12_SHA256),
     ("bound -n 240 --dim 35", "", 0, _sha256("1/7\n")),
     ("export --float --in -", "e8", 0, FLOAT_EXPORT_SHA256),
+    ("gegenbauer -d 7 -k 2", "", 0, _sha256("-1/7 0 8/7\n")),
 ]
 # and the runs that still build Fractions: scan reads its values as Fractions,
-# gegenbauer prints a polynomial's coefficients, and export --exact writes the
-# Gram's entries (ROADMAP item 12)
+# gegenbauer --at parses its point with the p/q parser, which builds one, and
+# export --exact writes the Gram's entries (ROADMAP item 12)
 BUILDS_FRACTIONS = [
     (" ".join(PINNED_SCAN), "0\n1/2\n-1/2\n", 0, PINNED_SCAN_SHA256),
-    ("gegenbauer -d 7 -k 2", "", 0, _sha256("-1/7 0 8/7\n")),
+    ("gegenbauer -d 7 -k 2 --at 1/2", "", 0, _sha256("1/7\n")),
     ("export --exact --in -", "e8", 0, EXACT_GRAM_SHA256),
 ]
 FRACTION_RUNS = [(*row, False) for row in WRITES_NO_FRACTION] + [(*row, True) for row in BUILDS_FRACTIONS]
@@ -307,12 +308,15 @@ def test_every_public_definition_has_a_caller_outside_the_unit_tests():
 
 def test_every_method_has_a_caller_outside_the_unit_tests():
     # the same rule for the methods and properties of the package's classes:
-    # a view only the unit tests read belongs in the tests; a method's own
-    # body does not count as its caller, and dunders are called by Python
+    # a view only the unit tests read belongs in the tests; only an attribute
+    # read (x.name) calls a method, not a bare name such as a local variable,
+    # a method's own body does not count as its caller, and dunders are
+    # called by Python
     callers = {}
     for path in _CALLER_FILES:
-        for scope, name in _named(path):
-            callers.setdefault(name, set()).add((path, scope[:2]))
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                callers.setdefault(node.attr, set()).add((path, scope[:2]))
     unused = [
         f"{path.stem}.{cls.name}.{method.name}"
         for path in sorted(PACKAGE.glob("*.py"))
